@@ -986,8 +986,8 @@ let elide_bench () =
     let snap = Jt_metrics.Metrics.Counters.snapshot () in
     let cnt k = Option.value ~default:0 (List.assoc_opt k snap) in
     let trace =
-      cnt "san_trace_elide_dom" + cnt "san_trace_elide_canary"
-      + cnt "san_trace_elide_streak" + cnt "san_trace_elide_ind"
+      cnt "san_trace_elide_dom" + cnt "san_trace_elide_streak"
+      + cnt "san_trace_elide_ind"
     in
     (o.o_result, cnt "san_checks", cnt "san_elide_frame", cnt "san_elide_dom",
      trace)
@@ -1062,20 +1062,23 @@ let elide_bench () =
 
 (* ---- trace-elide: the trace layer's own contribution ----
 
-   Same eight mem-op-heavy workloads, JASan-hybrid with the static
-   elision passes on in both runs; only the DBT's trace-spine elision is
+   Same eight mem-op-heavy workloads under JASan with the static elision
+   passes on in both runs; only the DBT's trace-spine elision is
    toggled.  This isolates what the superblock availability analysis
    removes *on top of* the per-block static passes (the per-block vs
-   per-trace row of EXPERIMENTS.md).  Differential gate as for `elide`:
-   status, output, icount and the (kind, addr) violation set must be
-   bit-identical. *)
+   per-trace row of EXPERIMENTS.md).  Each workload runs in two modes:
+   hybrid (static rules) and dynamic-only (the "-dyn" configuration),
+   where no static pass has thinned the plans and the trace layer's
+   dominating-check and streak elisions fire.  Differential gate as for
+   `elide`, per mode: status, output, icount and the (kind, addr)
+   violation set must be bit-identical. *)
 
 type trace_elide_row = {
   te_name : string;
+  te_hybrid : bool;
   te_checks_off : int;  (* trace elision off (static passes still on) *)
   te_checks_on : int;
   te_dom : int;
-  te_canary : int;
   te_streak : int;
   te_ind : int;  (* hoisted to the streak-onset induction guard *)
   te_identical : bool;
@@ -1093,75 +1096,87 @@ let trace_elide_bench () =
          (fun (v : Jt_vm.Vm.violation) -> (v.v_kind, v.v_addr))
          r.r_violations)
   in
-  let run_once ~trace_elide registry main =
+  let run_once ~hybrid ~trace_elide registry main =
     let tool, _ = Jt_jasan.Jasan.create () in
-    let o = Janitizer.Driver.run ~trace_elide ~tool ~registry ~main () in
+    let o = Janitizer.Driver.run ~hybrid ~trace_elide ~tool ~registry ~main () in
     let snap = Jt_metrics.Metrics.Counters.snapshot () in
     let cnt k = Option.value ~default:0 (List.assoc_opt k snap) in
     ( o.o_result,
       cnt "san_checks",
       cnt "san_trace_elide_dom",
-      cnt "san_trace_elide_canary",
       cnt "san_trace_elide_streak",
       cnt "san_trace_elide_ind" )
   in
   let rows =
-    List.map
-      (fun name ->
-        Printf.eprintf "  trace-elide: %s...\n%!" name;
-        let w = Specgen.build (Sheet.find name) in
-        let reg = w.Specgen.w_registry in
-        let r_off, c_off, _, _, _, _ = run_once ~trace_elide:false reg name in
-        let r_on, c_on, dom, canary, streak, ind =
-          run_once ~trace_elide:true reg name
-        in
-        {
-          te_name = name;
-          te_checks_off = c_off;
-          te_checks_on = c_on;
-          te_dom = dom;
-          te_canary = canary;
-          te_streak = streak;
-          te_ind = ind;
-          te_identical =
-            observable r_off = observable r_on && vset r_off = vset r_on;
-        })
-      subset
+    List.concat_map
+      (fun hybrid ->
+        List.map
+          (fun name ->
+            Printf.eprintf "  trace-elide: %s%s...\n%!" name
+              (if hybrid then "" else " (dyn)");
+            let w = Specgen.build (Sheet.find name) in
+            let reg = w.Specgen.w_registry in
+            let r_off, c_off, _, _, _ =
+              run_once ~hybrid ~trace_elide:false reg name
+            in
+            let r_on, c_on, dom, streak, ind =
+              run_once ~hybrid ~trace_elide:true reg name
+            in
+            {
+              te_name = name;
+              te_hybrid = hybrid;
+              te_checks_off = c_off;
+              te_checks_on = c_on;
+              te_dom = dom;
+              te_streak = streak;
+              te_ind = ind;
+              te_identical =
+                observable r_off = observable r_on && vset r_off = vset r_on;
+            })
+          subset)
+      [ true; false ]
   in
-  open_table "JASan trace-level elision: off vs on (static passes on in both)"
-    "executed shadow checks / elided executions by reason"
-    [ "checks off"; "checks on"; "reduction %"; "dom"; "canary"; "streak";
-      "ind" ]
-    (List.map
-       (fun r ->
-         ( r.te_name,
-           [
-             Jt_metrics.Metrics.Value (float_of_int r.te_checks_off);
-             Jt_metrics.Metrics.Value (float_of_int r.te_checks_on);
-             Jt_metrics.Metrics.Value
-               (100.0
-               *. (1.0
-                  -. float_of_int r.te_checks_on
-                     /. float_of_int (max r.te_checks_off 1)));
-             Jt_metrics.Metrics.Value (float_of_int r.te_dom);
-             Jt_metrics.Metrics.Value (float_of_int r.te_canary);
-             Jt_metrics.Metrics.Value (float_of_int r.te_streak);
-             Jt_metrics.Metrics.Value (float_of_int r.te_ind);
-           ] ))
-       rows);
+  let mode r = if r.te_hybrid then "hybrid" else "dyn" in
+  List.iter
+    (fun (hybrid, title) ->
+      open_table title "executed shadow checks / elided executions by reason"
+        [ "checks off"; "checks on"; "reduction %"; "dom"; "streak"; "ind" ]
+        (List.filter_map
+           (fun r ->
+             if r.te_hybrid <> hybrid then None
+             else
+               Some
+                 ( r.te_name,
+                   [
+                     Jt_metrics.Metrics.Value (float_of_int r.te_checks_off);
+                     Jt_metrics.Metrics.Value (float_of_int r.te_checks_on);
+                     Jt_metrics.Metrics.Value
+                       (100.0
+                       *. (1.0
+                          -. float_of_int r.te_checks_on
+                             /. float_of_int (max r.te_checks_off 1)));
+                     Jt_metrics.Metrics.Value (float_of_int r.te_dom);
+                     Jt_metrics.Metrics.Value (float_of_int r.te_streak);
+                     Jt_metrics.Metrics.Value (float_of_int r.te_ind);
+                   ] ))
+           rows))
+    [
+      (true, "JASan trace-level elision, hybrid: off vs on (static passes on in both)");
+      (false, "JASan trace-level elision, dynamic-only: off vs on");
+    ];
   let diverged = List.filter (fun r -> not r.te_identical) rows in
   List.iter
     (fun r ->
-      Printf.eprintf "!! trace-elide: %s diverged with trace elision on\n%!"
-        r.te_name)
+      Printf.eprintf "!! trace-elide: %s (%s) diverged with trace elision on\n%!"
+        r.te_name (mode r))
     diverged;
   let row_json r =
     Printf.sprintf
-      "    {\"name\": \"%s\", \"checks_off\": %d, \"checks_on\": %d, \
-       \"trace_dom\": %d, \"trace_canary\": %d, \"trace_streak\": %d, \
+      "    {\"name\": \"%s\", \"mode\": \"%s\", \"checks_off\": %d, \
+       \"checks_on\": %d, \"trace_dom\": %d, \"trace_streak\": %d, \
        \"trace_ind\": %d, \"identical\": %b}"
-      r.te_name r.te_checks_off r.te_checks_on r.te_dom r.te_canary
-      r.te_streak r.te_ind r.te_identical
+      r.te_name (mode r) r.te_checks_off r.te_checks_on r.te_dom r.te_streak
+      r.te_ind r.te_identical
   in
   let json =
     Printf.sprintf

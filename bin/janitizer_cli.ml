@@ -193,7 +193,7 @@ let disasm_cmd =
    the debugging view for bailed-out loops and missed elisions.
    [traces] is the runtime complement: the per-trace elision decisions
    the DBT's spine analysis made on the workload's hot superblocks
-   (reasons "trace-dom", "trace-canary", "trace-streak", "trace-ind"),
+   (reasons "trace-dom", "trace-streak", "trace-ind"),
    collected from one instrumented run. *)
 let dump_facts oc ?(traces = []) (closure : Jt_obj.Objfile.t list) =
   let jstr s = "\"" ^ String.concat "\\\"" (String.split_on_char '"' s) ^ "\"" in

@@ -123,16 +123,6 @@ module Make (L : LATTICE) = struct
      pre-state of every element plus the spine's out-state, so callers
      can both make per-element decisions and re-seed the entry for
      steady-state (back-edge) variants of the same spine. *)
-  let solve_spine ~entry ~transfer (spine : 'e array) : L.t array * L.t =
-    let n = Array.length spine in
-    let pre = Array.make n entry in
-    let st = ref entry in
-    for i = 0 to n - 1 do
-      pre.(i) <- !st;
-      st := transfer spine.(i) !st
-    done;
-    (pre, !st)
-
   let block_in t a = Hashtbl.find_opt t.r_in a
   let block_out t a = Hashtbl.find_opt t.r_out a
   let iterations t = t.iterations

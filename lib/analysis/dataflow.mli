@@ -39,15 +39,6 @@ module Make (L : LATTICE) : sig
       [widen_after] (default 2) is the per-block visit count beyond which
       [L.widen] replaces [L.join]. *)
 
-  val solve_spine :
-    entry:L.t -> transfer:('e -> L.t -> L.t) -> 'e array -> L.t array * L.t
-  (** Forward pass over a spine: a straight-line sequence with no
-      internal control flow (a DBT trace's constituent-block spine).
-      Returns each element's pre-state and the spine's out-state.  For a
-      spine, one pass {e is} the fixpoint; re-seeding [entry] with the
-      returned out-state yields the steady-state solution for a spine
-      re-entered through its own back-edge. *)
-
   val block_in : t -> int -> L.t option
   (** Fixpoint state at a block's entry ([None] for blocks the solver
       never reached — unknown addresses). *)

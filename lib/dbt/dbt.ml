@@ -3,9 +3,11 @@ open Jt_isa
 type block = { bb_addr : int; insns : (int * Insn.t * int) array }
 
 (* What a piece of instrumentation does to shadow state, as far as the
-   trace-spine elision pass is concerned.  [M_check]/[M_unpoison] carry
-   the syntactic address key of the access they guard; [M_shadow_write]
-   marks a poisoning write (a barrier: no earlier check survives it);
+   trace-spine elision pass is concerned.  [M_check] carries the
+   syntactic address key of the access it guards; [M_unpoison] only
+   widens what is addressable, so it is no barrier for checks (but it
+   does change shadow state); [M_shadow_write] marks a poisoning write
+   (a barrier: no earlier check survives it);
    [M_opaque] is anything the pass cannot reason about — an opaque meta
    with an action is treated as a conservative barrier, one without an
    action (pure cost) is transparent.
@@ -20,7 +22,7 @@ type block = { bb_addr : int; insns : (int * Insn.t * int) array }
 type meta_kind =
   | M_opaque
   | M_check of Jt_analysis.Avail.Key.t
-  | M_unpoison of Jt_analysis.Avail.Key.t
+  | M_unpoison
   | M_shadow_write
 
 type meta = {
@@ -129,9 +131,7 @@ type overlay = {
       (* endpoint guard justifying the streak plans' "trace-ind" drops;
          executed once when a streak begins *)
   ov_dom : int array;  (* base-plan drops: dominated within the trace *)
-  ov_canary : int array;  (* base-plan drops: redundant canary unpoison *)
   ov_s_dom : int array;  (* streak-plan drops with a same-trip witness *)
-  ov_s_canary : int array;
   ov_s_streak : int array;  (* streak-only drops (previous-trip witness) *)
   ov_s_ind : int array;  (* streak-only drops hoisted to the onset guard *)
   ov_decisions : (int * string * int) list;
@@ -699,7 +699,6 @@ let exec_trace t ~budget ~streak ~streak_onset (tr : trace) =
   let s = t.stats in
   s.st_trace_execs <- s.st_trace_execs + 1;
   let m = Jt_metrics.Metrics.Counters.current () in
-  m.c_trace_execs <- m.c_trace_execs + 1;
   (if streak && streak_onset then
      match tr.tr_overlay with
      | Some { ov_ind = Some ig; _ } -> run_ind_guard vm ig
@@ -724,8 +723,6 @@ let exec_trace t ~budget ~streak ~streak_onset (tr : trace) =
       | Some ov ->
         if streak then begin
           m.c_san_trace_elide_dom <- m.c_san_trace_elide_dom + ov.ov_s_dom.(!i);
-          m.c_san_trace_elide_canary <-
-            m.c_san_trace_elide_canary + ov.ov_s_canary.(!i);
           m.c_san_trace_elide_streak <-
             m.c_san_trace_elide_streak + ov.ov_s_streak.(!i);
           m.c_san_trace_elide_ind <- m.c_san_trace_elide_ind + ov.ov_s_ind.(!i);
@@ -733,8 +730,6 @@ let exec_trace t ~budget ~streak ~streak_onset (tr : trace) =
         end
         else begin
           m.c_san_trace_elide_dom <- m.c_san_trace_elide_dom + ov.ov_dom.(!i);
-          m.c_san_trace_elide_canary <-
-            m.c_san_trace_elide_canary + ov.ov_canary.(!i);
           ov.ov_plans.(!i)
         end
     in
@@ -785,18 +780,6 @@ let exec_trace t ~budget ~streak ~streak_onset (tr : trace) =
 
 module KS = Jt_analysis.Avail.Set
 
-(* Pair lattice: (keys with an available check, keys with an available
-   unpoison).  Both are must-sets; join is pointwise intersection. *)
-module Avail2 = struct
-  type t = KS.t * KS.t
-
-  let equal (c1, u1) (c2, u2) = KS.equal c1 c2 && KS.equal u1 u2
-  let join (c1, u1) (c2, u2) = (KS.inter c1 c2, KS.inter u1 u2)
-  let widen = join
-end
-
-module Spine_solver = Jt_analysis.Dataflow.Make (Avail2)
-
 type spine_el = {
   se_bi : int;  (* constituent position within the trace *)
   se_k : int;  (* instruction slot within the constituent *)
@@ -805,74 +788,50 @@ type spine_el = {
   se_metas : meta list;
 }
 
-(* A check gens check-availability; an unpoison gens unpoison-
-   availability (it only widens what is addressable, so it is not a
-   barrier for checks); a poisoning shadow write clears both, as does
-   any opaque action the pass cannot see through. *)
-let meta_transfer m ((chk, unp) as st) =
-  match m.m_kind with
-  | M_check k -> (KS.add k chk, unp)
-  | M_unpoison k -> (chk, KS.add k unp)
-  | M_shadow_write -> (KS.empty, KS.empty)
-  | M_opaque -> (
-    match m.m_action with Some _ -> (KS.empty, KS.empty) | None -> st)
-
-let spine_transfer el st =
-  let chk, unp =
-    List.fold_left (fun st m -> meta_transfer m st) st el.se_metas
-  in
-  ( Jt_analysis.Avail.insn_transfer el.se_insn chk,
-    Jt_analysis.Avail.insn_transfer el.se_insn unp )
-
-(* One decision walk from a given entry state: which metas may be
-   dropped, each with the earlier site that witnesses it.  The witness
-   tables map an available key to the address of the meta that made it
-   available; passing a walk's final tables into the next walk carries
-   witnesses across the back-edge for the streak variant. *)
-let decide_spine ~entry ~wit_chk ~wit_unp spine =
+(* One decision walk from a given entry availability: which checks may
+   be dropped, each with the earlier site that witnesses it, plus the
+   availability at the spine's exit.  A check gens its key; a poisoning
+   shadow write clears everything, as does any opaque action the pass
+   cannot see through; an unpoison only widens what is addressable, so
+   it is no barrier.  On a straight line one forward pass is the
+   fixpoint, and its exit state is also the back-edge fixpoint, so
+   re-walking from it yields the steady-state (streak) plan.  The
+   witness table maps an available key to the address of the check that
+   made it available; passing the base walk's table into the streak walk
+   carries witnesses across the back-edge.  With [base] (the base walk's
+   drops), a drop the base walk did not make is justified only by the
+   carried-over availability: a loop-invariant ("trace-streak") elision. *)
+let decide_spine ?base ~entry ~wit spine =
   let drops = Hashtbl.create 16 in
-  let st = ref entry in
+  let chk = ref entry in
   Array.iter
     (fun el ->
-      let chk = ref (fst !st) and unp = ref (snd !st) in
       List.iteri
         (fun j (m : meta) ->
           match m.m_kind with
           | M_check k ->
-            if KS.mem k !chk then
-              Hashtbl.replace drops (el.se_bi, el.se_k, j)
-                ( "trace-dom",
-                  Option.value ~default:0 (Hashtbl.find_opt wit_chk k),
-                  el.se_addr )
+            if KS.mem k !chk then begin
+              let key = (el.se_bi, el.se_k, j) in
+              let reason =
+                match base with
+                | Some b when not (Hashtbl.mem b key) -> "trace-streak"
+                | Some _ | None -> "trace-dom"
+              in
+              let witness = Option.value ~default:0 (Hashtbl.find_opt wit k) in
+              Hashtbl.replace drops key (reason, witness, el.se_addr)
+            end
             else begin
-              Hashtbl.replace wit_chk k el.se_addr;
+              Hashtbl.replace wit k el.se_addr;
               chk := KS.add k !chk
             end
-          | M_unpoison k ->
-            if KS.mem k !unp then
-              Hashtbl.replace drops (el.se_bi, el.se_k, j)
-                ( "trace-canary",
-                  Option.value ~default:0 (Hashtbl.find_opt wit_unp k),
-                  el.se_addr )
-            else begin
-              Hashtbl.replace wit_unp k el.se_addr;
-              unp := KS.add k !unp
-            end
-          | M_shadow_write ->
-            chk := KS.empty;
-            unp := KS.empty
+          | M_unpoison -> ()
+          | M_shadow_write -> chk := KS.empty
           | M_opaque -> (
-            match m.m_action with
-            | Some _ ->
-              chk := KS.empty;
-              unp := KS.empty
-            | None -> ()))
+            match m.m_action with Some _ -> chk := KS.empty | None -> ()))
         el.se_metas;
-      st :=
-        ( Jt_analysis.Avail.insn_transfer el.se_insn !chk,
-          Jt_analysis.Avail.insn_transfer el.se_insn !unp ))
+      chk := Jt_analysis.Avail.insn_transfer el.se_insn !chk)
     spine;
-  drops
+  (drops, !chk)
 
 (* Recognize the counted-loop shape on a spine and collect the affine
    checks the induction guard can hoist.  Mirrors the static SCEV
@@ -957,7 +916,7 @@ let detect_induction ~drops_streak (spine : spine_el array) =
                || List.exists
                     (fun (m : meta) ->
                       match (m.m_kind, m.m_action) with
-                      | (M_shadow_write | M_unpoison _), _ -> true
+                      | (M_shadow_write | M_unpoison), _ -> true
                       | M_opaque, Some _ -> true
                       | (M_opaque | M_check _), _ -> false)
                     el.se_metas)
@@ -998,113 +957,78 @@ let detect_induction ~drops_streak (spine : spine_el array) =
 
 let build_overlay (blocks : cached array) =
   let n = Array.length blocks in
-  let has_tagged =
-    Array.exists
-      (fun (c : cached) ->
-        Array.exists
-          (List.exists (fun (m : meta) ->
-               match m.m_kind with
-               | M_check _ | M_unpoison _ -> true
-               | M_opaque | M_shadow_write -> false))
-          c.cb_plan)
-      blocks
+  let spine =
+    Array.concat
+      (Array.to_list
+         (Array.mapi
+            (fun bi (c : cached) ->
+              Array.mapi
+                (fun k (addr, insn, _len) ->
+                  {
+                    se_bi = bi;
+                    se_k = k;
+                    se_addr = addr;
+                    se_insn = insn;
+                    se_metas = c.cb_plan.(k);
+                  })
+                c.cb.insns)
+            blocks))
   in
-  if not has_tagged then None
+  let wit = Hashtbl.create 16 in
+  let drops_base, out = decide_spine ~entry:KS.empty ~wit spine in
+  let drops_streak, _ = decide_spine ~base:drops_base ~entry:out ~wit spine in
+  (* induction-range hoisting is streak-only: the cold plans keep the
+     per-iteration checks, the steady-state plans trade them for the
+     onset guard.  The witness recorded for a "trace-ind" drop is the
+     loop-head compare whose bound the guard reads. *)
+  let ind = detect_induction ~drops_streak spine in
+  (match ind with
+  | Some (_, cmp_addr, sites) ->
+    List.iter
+      (fun (key, addr) ->
+        Hashtbl.replace drops_streak key ("trace-ind", cmp_addr, addr))
+      sites
+  | None -> ());
+  if Hashtbl.length drops_base = 0 && Hashtbl.length drops_streak = 0 then
+    None
   else begin
-    let spine =
-      Array.concat
-        (Array.to_list
-           (Array.mapi
-              (fun bi (c : cached) ->
-                Array.mapi
-                  (fun k (addr, insn, _len) ->
-                    {
-                      se_bi = bi;
-                      se_k = k;
-                      se_addr = addr;
-                      se_insn = insn;
-                      se_metas = c.cb_plan.(k);
-                    })
-                  c.cb.insns)
-              blocks))
+    let filter_plans drops =
+      Array.mapi
+        (fun bi (c : cached) ->
+          Array.mapi
+            (fun k metas ->
+              List.filteri
+                (fun j _ -> not (Hashtbl.mem drops (bi, k, j)))
+                metas)
+            c.cb_plan)
+        blocks
     in
-    let empty2 = (KS.empty, KS.empty) in
-    (* One forward pass is the fixpoint on a spine; the out-state seeds
-       the steady-state (streak) walk: for a straight line,
-       out(out(bot)) = out(bot), so this is also the back-edge fixpoint. *)
-    let _pre, out =
-      Spine_solver.solve_spine ~entry:empty2 ~transfer:spine_transfer spine
+    let counts drops reason =
+      let a = Array.make n 0 in
+      Hashtbl.iter
+        (fun (bi, _, _) (r, _, _) -> if r = reason then a.(bi) <- a.(bi) + 1)
+        drops;
+      a
     in
-    let wit_chk = Hashtbl.create 16 and wit_unp = Hashtbl.create 16 in
-    let drops_base = decide_spine ~entry:empty2 ~wit_chk ~wit_unp spine in
-    (* the base walk's final witness tables describe exactly the keys in
-       [out] — the availability a streak entry inherits from the
-       previous trip around the trace *)
-    let drops_streak = decide_spine ~entry:out ~wit_chk ~wit_unp spine in
-    (* a streak drop the base walk also made keeps its reason; one only
-       the carried-over availability justifies is a loop-invariant
-       (streak) elision *)
-    Hashtbl.iter
-      (fun key (reason, wit, addr) ->
-        if not (Hashtbl.mem drops_base key) then
-          Hashtbl.replace drops_streak key ("trace-streak", wit, addr)
-        else ignore reason)
-      (Hashtbl.copy drops_streak);
-    (* induction-range hoisting is streak-only: the cold plans keep the
-       per-iteration checks, the steady-state plans trade them for the
-       onset guard.  The witness recorded for a "trace-ind" drop is the
-       loop-head compare whose bound the guard reads. *)
-    let ind = detect_induction ~drops_streak spine in
-    (match ind with
-    | Some (_, cmp_addr, sites) ->
-      List.iter
-        (fun (key, addr) ->
-          Hashtbl.replace drops_streak key ("trace-ind", cmp_addr, addr))
-        sites
-    | None -> ());
-    if Hashtbl.length drops_base = 0 && Hashtbl.length drops_streak = 0 then
-      None
-    else begin
-      let filter_plans drops =
-        Array.mapi
-          (fun bi (c : cached) ->
-            Array.mapi
-              (fun k metas ->
-                List.filteri
-                  (fun j _ -> not (Hashtbl.mem drops (bi, k, j)))
-                  metas)
-              c.cb_plan)
-          blocks
-      in
-      let counts drops reason =
-        let a = Array.make n 0 in
-        Hashtbl.iter
-          (fun (bi, _, _) (r, _, _) -> if r = reason then a.(bi) <- a.(bi) + 1)
-          drops;
-        a
-      in
-      let decisions =
-        Hashtbl.fold (fun _ (r, w, a) acc -> (a, r, w) :: acc) drops_base []
-        @ Hashtbl.fold
-            (fun key (r, w, a) acc ->
-              if Hashtbl.mem drops_base key then acc else (a, r, w) :: acc)
-            drops_streak []
-        |> List.sort compare
-      in
-      Some
-        {
-          ov_plans = filter_plans drops_base;
-          ov_plans_streak = filter_plans drops_streak;
-          ov_ind = Option.map (fun (g, _, _) -> g) ind;
-          ov_dom = counts drops_base "trace-dom";
-          ov_canary = counts drops_base "trace-canary";
-          ov_s_dom = counts drops_streak "trace-dom";
-          ov_s_canary = counts drops_streak "trace-canary";
-          ov_s_streak = counts drops_streak "trace-streak";
-          ov_s_ind = counts drops_streak "trace-ind";
-          ov_decisions = decisions;
-        }
-    end
+    let decisions =
+      Hashtbl.fold (fun _ (r, w, a) acc -> (a, r, w) :: acc) drops_base []
+      @ Hashtbl.fold
+          (fun key (r, w, a) acc ->
+            if Hashtbl.mem drops_base key then acc else (a, r, w) :: acc)
+          drops_streak []
+      |> List.sort compare
+    in
+    Some
+      {
+        ov_plans = filter_plans drops_base;
+        ov_plans_streak = filter_plans drops_streak;
+        ov_ind = Option.map (fun (g, _, _) -> g) ind;
+        ov_dom = counts drops_base "trace-dom";
+        ov_s_dom = counts drops_streak "trace-dom";
+        ov_s_streak = counts drops_streak "trace-streak";
+        ov_s_ind = counts drops_streak "trace-ind";
+        ov_decisions = decisions;
+      }
   end
 
 (* ---- trace recording (NET) ---- *)
@@ -1140,8 +1064,6 @@ let finalize_recording t =
             c.cb_traces <- tr :: c.cb_traces)
         arr;
       t.stats.st_traces_built <- t.stats.st_traces_built + 1;
-      (let m = Jt_metrics.Metrics.Counters.current () in
-       m.c_traces_built <- m.c_traces_built + 1);
       (* Accounting against the static claim partition: an overlay drop
          at an address the static pass kept ([Claims.checked]) is
          redundancy only visible at trace granularity. *)
@@ -1212,7 +1134,6 @@ let note_entry t (c : cached) pc =
 let run ?(fuel = 200_000_000) t =
   let vm = t.vm in
   let budget = vm.Jt_vm.Vm.icount + fuel in
-  let m = Jt_metrics.Metrics.Counters.current () in
   let prev : cached option ref = ref None in
   (* The streak: the trace that completed head-to-tail on the immediately
      preceding dispatch.  If the very next dispatch re-enters that same
@@ -1282,7 +1203,6 @@ let run ?(fuel = 200_000_000) t =
              | Some c ->
                Jt_vm.Vm.charge vm t.profile.p_ibl_hit;
                t.stats.st_ibl_hits <- t.stats.st_ibl_hits + 1;
-               m.c_ibl_hits <- m.c_ibl_hits + 1;
                if Jt_trace.Trace.is_enabled () then
                  Jt_trace.Trace.emit
                    (Jt_trace.Trace.Ibl_hit { site = p.cb.bb_addr; target = pc });
@@ -1290,7 +1210,6 @@ let run ?(fuel = 200_000_000) t =
              | None ->
                Jt_vm.Vm.charge vm t.profile.p_indirect;
                t.stats.st_ibl_misses <- t.stats.st_ibl_misses + 1;
-               m.c_ibl_misses <- m.c_ibl_misses + 1;
                if Jt_trace.Trace.is_enabled () then
                  Jt_trace.Trace.emit
                    (Jt_trace.Trace.Ibl_miss { site = p.cb.bb_addr; target = pc });
@@ -1301,12 +1220,10 @@ let run ?(fuel = 200_000_000) t =
            match (linked, via_ibl) with
            | Some c, _ ->
              t.stats.st_chain_hits <- t.stats.st_chain_hits + 1;
-             m.c_chain_hits <- m.c_chain_hits + 1;
              c
            | None, Some c -> c
            | None, None ->
              t.stats.st_dispatch_entries <- t.stats.st_dispatch_entries + 1;
-             m.c_dispatch_entries <- m.c_dispatch_entries + 1;
              let c =
                match Hashtbl.find_opt t.cache pc with
                | Some c -> c
@@ -1420,8 +1337,8 @@ let reset_stats t =
 
 (* Elision decisions of the live traces, sorted by head address:
    [(head, [(insn, reason, witness)])].  Diagnostics for the CLI's
-   [analyze --facts] dump; reasons are ["trace-dom"], ["trace-canary"],
-   ["trace-streak"] and ["trace-ind"]. *)
+   [analyze --facts] dump; reasons are ["trace-dom"], ["trace-streak"]
+   and ["trace-ind"]. *)
 let trace_elisions t =
   Hashtbl.fold
     (fun head tr acc ->

@@ -22,15 +22,17 @@ type block = {
 
 (** What a piece of instrumentation does to shadow state, as far as the
     trace-spine elision pass can tell.  Tools that want their checks
-    considered for trace-level elision tag them [M_check]/[M_unpoison]
-    with the access's {!Jt_analysis.Avail.Key.t}; everything else stays
-    [M_opaque] (an opaque meta with an action is treated as a
-    conservative barrier) or [M_shadow_write] (a poisoning write —
-    always a barrier). *)
+    considered for trace-level elision tag them [M_check] with the
+    access's {!Jt_analysis.Avail.Key.t}.  [M_unpoison] marks a write
+    that only makes memory addressable: no barrier for checks, but it
+    does change shadow state, so a trace containing one gets no
+    induction guard.  Everything else stays [M_opaque] (an opaque meta
+    with an action is treated as a conservative barrier) or
+    [M_shadow_write] (a poisoning write — always a barrier). *)
 type meta_kind =
   | M_opaque
   | M_check of Jt_analysis.Avail.Key.t
-  | M_unpoison of Jt_analysis.Avail.Key.t
+  | M_unpoison
   | M_shadow_write
 
 (** One piece of inserted instrumentation, executed immediately before
@@ -138,7 +140,7 @@ val create :
     successors, so chains of hot blocks execute without re-entering the
     dispatcher or re-probing the code-cache hash table.  Links are
     severed on invalidation.  Chaining changes only host-level dispatch
-    work ({!stats} and [Jt_metrics] counters); simulated cycles, outputs
+    work ({!stats}); simulated cycles, outputs
     and violations are bit-identical with it off.
 
     [ibl] (default true) enables per-site indirect-branch inline caches:
@@ -161,10 +163,11 @@ val create :
     [trace_elide] (default true) runs the JASan availability
     must-analysis along each newly recorded trace spine and builds an
     overlay of thinned instrumentation plans: checks dominated within
-    the trace by an earlier check of the same address key are elided, as
-    are redundant canary unpoisons, and a steady-state plan variant
-    additionally elides loop-invariant checks when the trace re-enters
-    its own head immediately after a completed trip.  The constituents'
+    the trace by an earlier check of the same address key are elided,
+    and a steady-state plan variant additionally elides loop-invariant
+    checks when the trace re-enters its own head immediately after a
+    completed trip, and hoists affine checks of a counted loop into one
+    pair of endpoint checks at streak onset.  The constituents'
     own plans are never modified, so side exits, teardown and ordinary
     block execution structurally restore every check.  Exit status,
     output, instruction counts and the deduplicated violation set are
@@ -203,7 +206,7 @@ val traces_live_scan : t -> int
 val trace_elisions : t -> (int * (int * string * int) list) list
 (** Elision decisions of the live traces, sorted by head address:
     [(head, [(insn, reason, witness)])] with reasons ["trace-dom"],
-    ["trace-canary"] and ["trace-streak"].  Diagnostics (the CLI's
+    ["trace-streak"] and ["trace-ind"].  Diagnostics (the CLI's
     [analyze --facts] dump). *)
 
 val dynamic_block_fraction : t -> float

@@ -709,9 +709,8 @@ let invariant_meta rt (r : Jt_rules.Rules.t) =
   }
 
 (* A poisoning canary store is always a shadow-write barrier for the
-   trace pass; a canary unpoison advertises its fp-relative slot key
-   (when [elide]) so a re-unpoison with no intervening poison, call or
-   fp redefinition can be deduplicated along a trace spine. *)
+   trace pass; a canary unpoison (when [elide]) is advertised as such, so
+   the trace pass lets checks' availability flow across it. *)
 let canary_meta rt ~unpoison ~elide disp =
   let slot_disp = unpack_signed disp in
   {
@@ -723,8 +722,7 @@ let canary_meta rt ~unpoison ~elide disp =
           else Rt.poison_canary rt vm ~slot_disp);
     m_kind =
       (if not unpoison then Jt_dbt.Dbt.M_shadow_write
-       else if elide then
-         Jt_dbt.Dbt.M_unpoison (Reg.index Reg.fp, -1, 1, slot_disp, 4)
+       else if elide then Jt_dbt.Dbt.M_unpoison
        else Jt_dbt.Dbt.M_opaque);
   }
 

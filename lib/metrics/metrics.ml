@@ -14,12 +14,6 @@ let geomean xs =
 
 module Counters = struct
   type t = {
-    mutable c_chain_hits : int;
-    mutable c_dispatch_entries : int;
-    mutable c_ibl_hits : int;
-    mutable c_ibl_misses : int;
-    mutable c_traces_built : int;
-    mutable c_trace_execs : int;
     mutable c_module_lookups : int;
     mutable c_lookup_probes : int;
     mutable c_flush_visits : int;
@@ -28,7 +22,6 @@ module Counters = struct
     mutable c_san_elide_frame : int;
     mutable c_san_elide_dom : int;
     mutable c_san_trace_elide_dom : int;
-    mutable c_san_trace_elide_canary : int;
     mutable c_san_trace_elide_streak : int;
     mutable c_san_trace_elide_ind : int;
     mutable c_ir_store_hits : int;
@@ -39,12 +32,6 @@ module Counters = struct
 
   let fresh () =
     {
-      c_chain_hits = 0;
-      c_dispatch_entries = 0;
-      c_ibl_hits = 0;
-      c_ibl_misses = 0;
-      c_traces_built = 0;
-      c_trace_execs = 0;
       c_module_lookups = 0;
       c_lookup_probes = 0;
       c_flush_visits = 0;
@@ -53,7 +40,6 @@ module Counters = struct
       c_san_elide_frame = 0;
       c_san_elide_dom = 0;
       c_san_trace_elide_dom = 0;
-      c_san_trace_elide_canary = 0;
       c_san_trace_elide_streak = 0;
       c_san_trace_elide_ind = 0;
       c_ir_store_hits = 0;
@@ -71,12 +57,6 @@ module Counters = struct
 
   let reset () =
     let c = current () in
-    c.c_chain_hits <- 0;
-    c.c_dispatch_entries <- 0;
-    c.c_ibl_hits <- 0;
-    c.c_ibl_misses <- 0;
-    c.c_traces_built <- 0;
-    c.c_trace_execs <- 0;
     c.c_module_lookups <- 0;
     c.c_lookup_probes <- 0;
     c.c_flush_visits <- 0;
@@ -85,7 +65,6 @@ module Counters = struct
     c.c_san_elide_frame <- 0;
     c.c_san_elide_dom <- 0;
     c.c_san_trace_elide_dom <- 0;
-    c.c_san_trace_elide_canary <- 0;
     c.c_san_trace_elide_streak <- 0;
     c.c_san_trace_elide_ind <- 0;
     c.c_ir_store_hits <- 0;
@@ -95,12 +74,6 @@ module Counters = struct
 
   let snapshot_of c =
     [
-      ("chain_hits", c.c_chain_hits);
-      ("dispatch_entries", c.c_dispatch_entries);
-      ("ibl_hits", c.c_ibl_hits);
-      ("ibl_misses", c.c_ibl_misses);
-      ("traces_built", c.c_traces_built);
-      ("trace_execs", c.c_trace_execs);
       ("module_lookups", c.c_module_lookups);
       ("lookup_probes", c.c_lookup_probes);
       ("flush_visits", c.c_flush_visits);
@@ -109,7 +82,8 @@ module Counters = struct
       ("san_elide_frame", c.c_san_elide_frame);
       ("san_elide_dom", c.c_san_elide_dom);
       ("san_trace_elide_dom", c.c_san_trace_elide_dom);
-      ("san_trace_elide_canary", c.c_san_trace_elide_canary);
+      (* canary dedupe is gone; perfbench still reads this key by name *)
+      ("san_trace_elide_canary", 0);
       ("san_trace_elide_streak", c.c_san_trace_elide_streak);
       ("san_trace_elide_ind", c.c_san_trace_elide_ind);
       ("ir_store_hits", c.c_ir_store_hits);

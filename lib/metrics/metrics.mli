@@ -6,9 +6,12 @@ val geomean : float list -> float
     stderr); 0 if nothing positive remains. *)
 
 (** Hot-path instrumentation counters, incremented by the loader's
-    address-range index, the DBT dispatcher and the cache-invalidation
-    paths.  They measure *host-level* work (probes, visits), not simulated
-    cycles, so resetting or reading them never perturbs an experiment.
+    address-range index, the cache-invalidation paths, JASan's checks
+    and elisions and the IR store.  They measure *host-level* work
+    (probes, visits), not simulated cycles, so resetting or reading them
+    never perturbs an experiment.  Dispatch events (chain and IBL hits,
+    dispatcher entries, trace builds and executions) are counted once,
+    per engine, in [Jt_dbt.Dbt.stats].
 
     The counters are {e domain-local} ([Domain.DLS]): every domain counts
     into its own instance, so concurrent driver runs on a [Jt_pool] never
@@ -17,17 +20,6 @@ val geomean : float list -> float
     the snapshot; the harness aggregates with {!Counters.merge}. *)
 module Counters : sig
   type t = {
-    mutable c_chain_hits : int;
-        (** block-to-block transfers that followed a chain link without
-            re-entering the dispatcher *)
-    mutable c_dispatch_entries : int;
-        (** dispatcher entries (code-cache hash probes) *)
-    mutable c_ibl_hits : int;
-        (** indirect transfers resolved by a per-site inline cache *)
-    mutable c_ibl_misses : int;
-        (** indirect transfers that probed an inline cache and missed *)
-    mutable c_traces_built : int;  (** superblock traces stitched *)
-    mutable c_trace_execs : int;  (** head-to-tail trace executions *)
     mutable c_module_lookups : int;  (** [Loader.module_at] calls *)
     mutable c_lookup_probes : int;
         (** binary-search steps across all module lookups *)
@@ -44,9 +36,6 @@ module Counters : sig
     mutable c_san_trace_elide_dom : int;
         (** dynamic check instances elided by the trace-spine
             dominating-check pass *)
-    mutable c_san_trace_elide_canary : int;
-        (** dynamic canary-unpoison instances deduplicated along a
-            trace spine *)
     mutable c_san_trace_elide_streak : int;
         (** dynamic check instances elided by the steady-state (streak)
             trace plans: availability carried across the trace's own
@@ -74,7 +63,9 @@ module Counters : sig
 
   val snapshot : unit -> (string * int) list
   (** The calling domain's current values as name/value pairs, in a
-      stable order. *)
+      stable order.  The key ["san_trace_elide_canary"] is always 0: the
+      trace-level canary-unpoison dedupe it counted was removed, and the
+      key is kept for readers that look it up by name. *)
 
   val snapshot_of : t -> (string * int) list
 

@@ -43,12 +43,14 @@ type event =
       insn : int;  (** address of the access whose check the trace elides *)
       reason : string;
           (** ["trace-dom"] (dominated within the trace by an identical
-              check), ["trace-canary"] (redundant canary unpoison) or
-              ["trace-streak"] (loop-invariant, justified by the trace's
-              own back-edge) *)
+              check), ["trace-streak"] (loop-invariant, justified by the
+              trace's own back-edge) or ["trace-ind"] (affine in a
+              counted loop's induction register, covered by the endpoint
+              checks run at streak onset) *)
       witness : int;
           (** address of the earlier access whose check subsumes this
-              one; [0] if unknown *)
+              one (for ["trace-ind"], the loop-head compare whose bound
+              the guard reads); [0] if unknown *)
     }
   | Flush_range of { start : int; len : int }
   | Module_load of { name : string; base : int }
@@ -79,6 +81,46 @@ type event =
   | Store_corrupt of { name : string; why : string }
   | Phase_begin of { phase : phase }
   | Phase_end of { phase : phase; host_s : float; cycles : int }
+
+(* ---- event kinds ---- *)
+
+let kind_names =
+  [| "block_translate"; "block_exec"; "chain_link"; "chain_sever"; "ibl_hit";
+     "ibl_miss"; "trace_build"; "trace_teardown"; "trace_elide"; "flush_range";
+     "module_load"; "module_unload"; "dlopen"; "dlclose"; "plt_resolve";
+     "shadow_poison"; "shadow_unpoison"; "check_elide"; "violation";
+     "cfi_table"; "store_hit"; "store_miss"; "store_evict"; "store_corrupt";
+     "phase_begin"; "phase_end" |]
+
+let kind_index = function
+  | Block_translate _ -> 0
+  | Block_exec _ -> 1
+  | Chain_link _ -> 2
+  | Chain_sever _ -> 3
+  | Ibl_hit _ -> 4
+  | Ibl_miss _ -> 5
+  | Trace_build _ -> 6
+  | Trace_teardown _ -> 7
+  | Trace_elide _ -> 8
+  | Flush_range _ -> 9
+  | Module_load _ -> 10
+  | Module_unload _ -> 11
+  | Dlopen _ -> 12
+  | Dlclose _ -> 13
+  | Plt_resolve _ -> 14
+  | Shadow_poison _ -> 15
+  | Shadow_unpoison _ -> 16
+  | Check_elide _ -> 17
+  | Violation _ -> 18
+  | Cfi_table _ -> 19
+  | Store_hit _ -> 20
+  | Store_miss _ -> 21
+  | Store_evict _ -> 22
+  | Store_corrupt _ -> 23
+  | Phase_begin _ -> 24
+  | Phase_end _ -> 25
+
+let kind_name ev = kind_names.(kind_index ev)
 
 (* ---- ring buffer ---- *)
 
@@ -122,6 +164,9 @@ type state = {
           lib/vm, far below the DBT) can carry static-vs-dynamic origin;
           only updated while tracing is enabled *)
   s_totals : phase_tot array;
+  s_kinds : int array;
+      (** events emitted per kind since the last [clear], counted at
+          emit time so ring overflow loses none *)
 }
 
 let fresh_state () =
@@ -133,6 +178,7 @@ let fresh_state () =
       Array.init 4 (fun _ ->
           { pt_host = 0.0; pt_cycles = 0; pt_count = 0; pt_open = Float.nan;
             pt_open_cycles = 0 });
+    s_kinds = Array.make (Array.length kind_names) 0;
   }
 
 let key = Domain.DLS.new_key fresh_state
@@ -155,7 +201,9 @@ let emit ev =
     | None -> ()
     | Some r ->
       r.buf.(r.total mod r.cap) <- ev;
-      r.total <- r.total + 1
+      r.total <- r.total + 1;
+      let k = kind_index ev in
+      st.s_kinds.(k) <- st.s_kinds.(k) + 1
 
 (* ---- phase spans ---- *)
 
@@ -231,6 +279,7 @@ let clear () =
       t.pt_open <- Float.nan;
       t.pt_open_cycles <- 0)
     st.s_totals;
+  Array.fill st.s_kinds 0 (Array.length st.s_kinds) 0;
   st.s_exec_origin <- Dynamic
 
 let enable ?(capacity = default_capacity) () =
@@ -249,6 +298,13 @@ let emitted () = match (state ()).s_ring with Some r -> r.total | None -> 0
 
 let dropped () =
   match (state ()).s_ring with Some r -> max 0 (r.total - r.cap) | None -> 0
+
+let kind_counts () =
+  let kinds = (state ()).s_kinds in
+  List.filter_map
+    (fun k -> if kinds.(k) > 0 then Some (kind_names.(k), kinds.(k)) else None)
+    (List.init (Array.length kinds) Fun.id)
+  |> List.sort compare
 
 let events () =
   match (state ()).s_ring with
@@ -617,45 +673,6 @@ let export oc =
       output_string oc (event_to_json ev);
       output_char oc '\n')
     (events ())
-
-(* ---- event-kind summary (for the CLI) ---- *)
-
-let kind_name = function
-  | Block_translate _ -> "block_translate"
-  | Block_exec _ -> "block_exec"
-  | Chain_link _ -> "chain_link"
-  | Chain_sever _ -> "chain_sever"
-  | Ibl_hit _ -> "ibl_hit"
-  | Ibl_miss _ -> "ibl_miss"
-  | Trace_build _ -> "trace_build"
-  | Trace_teardown _ -> "trace_teardown"
-  | Trace_elide _ -> "trace_elide"
-  | Flush_range _ -> "flush_range"
-  | Module_load _ -> "module_load"
-  | Module_unload _ -> "module_unload"
-  | Dlopen _ -> "dlopen"
-  | Dlclose _ -> "dlclose"
-  | Plt_resolve _ -> "plt_resolve"
-  | Shadow_poison _ -> "shadow_poison"
-  | Shadow_unpoison _ -> "shadow_unpoison"
-  | Check_elide _ -> "check_elide"
-  | Violation _ -> "violation"
-  | Cfi_table _ -> "cfi_table"
-  | Store_hit _ -> "store_hit"
-  | Store_miss _ -> "store_miss"
-  | Store_evict _ -> "store_evict"
-  | Store_corrupt _ -> "store_corrupt"
-  | Phase_begin _ -> "phase_begin"
-  | Phase_end _ -> "phase_end"
-
-let kind_counts () =
-  let tbl = Hashtbl.create 24 in
-  List.iter
-    (fun ev ->
-      let k = kind_name ev in
-      Hashtbl.replace tbl k (1 + Option.value ~default:0 (Hashtbl.find_opt tbl k)))
-    (events ());
-  List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
 
 (* ---- entry-accounting invariant ----
 

@@ -47,12 +47,14 @@ type event =
       insn : int;  (** address of the access whose check the trace elides *)
       reason : string;
           (** ["trace-dom"] (dominated within the trace by an identical
-              check), ["trace-canary"] (redundant canary unpoison) or
-              ["trace-streak"] (loop-invariant, justified by the trace's
-              own back-edge) *)
+              check), ["trace-streak"] (loop-invariant, justified by the
+              trace's own back-edge) or ["trace-ind"] (affine in a
+              counted loop's induction register, covered by the endpoint
+              checks run at streak onset) *)
       witness : int;
           (** address of the earlier access whose check subsumes this
-              one; [0] if unknown *)
+              one (for ["trace-ind"], the loop-head compare whose bound
+              the guard reads); [0] if unknown *)
     }
   | Flush_range of { start : int; len : int }
   | Module_load of { name : string; base : int }
@@ -111,8 +113,8 @@ val disable : unit -> unit
     readable. *)
 
 val clear : unit -> unit
-(** Drop the calling domain's buffered events and zero its phase totals
-    without toggling the enabled flag. *)
+(** Drop the calling domain's buffered events and zero its per-kind
+    counts and phase totals without toggling the enabled flag. *)
 
 val emit : event -> unit
 (** Append an event to the calling domain's ring, overwriting the oldest
@@ -201,7 +203,10 @@ val export : out_channel -> unit
 val kind_name : event -> string
 
 val kind_counts : unit -> (string * int) list
-(** Buffered events bucketed by kind, sorted by kind name. *)
+(** Events emitted since the last {!clear} (or {!enable}), bucketed by
+    kind and sorted by kind name; kinds never emitted are omitted.
+    Counted at emit time, so the totals include events the ring has
+    since overwritten. *)
 
 (** {2 Entry-accounting invariant} *)
 

@@ -354,9 +354,7 @@ let test_mid_trace_flush_elision () =
     (Jt_dbt.Dbt.traces_live e_on < s_on.st_traces_built);
   let field k snap = List.assoc k snap in
   let elided snap =
-    field "san_trace_elide_dom" snap
-    + field "san_trace_elide_canary" snap
-    + field "san_trace_elide_streak" snap
+    field "san_trace_elide_dom" snap + field "san_trace_elide_streak" snap
   in
   Alcotest.(check int) "baseline elides nothing at trace level" 0
     (elided snap_off);
@@ -523,7 +521,7 @@ let test_trace_elision_decisions () =
             ("known reason: " ^ reason)
             true
             (List.mem reason
-               [ "trace-dom"; "trace-canary"; "trace-streak"; "trace-ind" ]))
+               [ "trace-dom"; "trace-streak"; "trace-ind" ]))
         ds)
     o.o_trace_elisions;
   let snap = Jt_metrics.Metrics.Counters.(snapshot_of (current ())) in

@@ -200,7 +200,7 @@ let test_counters_isolated_between_runs () =
   let s2 = run () in
   (* pre-fix, every counter doubled on the second run *)
   Alcotest.(check bool) "first run counted something" true
-    (List.assoc "dispatch_entries" s1 > 0);
+    (List.assoc "module_lookups" s1 > 0);
   List.iter2
     (fun (name, v1) (name2, v2) ->
       Alcotest.(check string) "same counter order" name name2;

@@ -171,6 +171,22 @@ let test_live_emission_and_identity () =
   Alcotest.(check bool) "results identical on/off" true
     (off.Janitizer.Driver.o_result = on_.Janitizer.Driver.o_result)
 
+(* Per-kind totals are counted at emit time: a ring far smaller than the
+   run still reports every block execution the engine made. *)
+let test_kind_counts_outlive_ring () =
+  enable ~capacity:64 ();
+  let o = run_sum () in
+  let counts = kind_counts () in
+  disable ();
+  let stats = Option.get o.Janitizer.Driver.o_dbt in
+  Alcotest.(check bool) "the ring overflowed" true (dropped () > 0);
+  Alcotest.(check int) "block_exec = engine block executions"
+    stats.Jt_dbt.Dbt.st_block_execs
+    (List.assoc "block_exec" counts);
+  clear ();
+  Alcotest.(check (list (pair string int))) "clear zeroes the counts" []
+    (kind_counts ())
+
 let test_violation_provenance () =
   enable ();
   let m = Progs.heap_overflow_prog () in
@@ -308,6 +324,8 @@ let () =
         [
           Alcotest.test_case "live emission + identity" `Quick
             (isolated test_live_emission_and_identity);
+          Alcotest.test_case "kind counts outlive the ring" `Quick
+            (isolated test_kind_counts_outlive_ring);
           Alcotest.test_case "violation provenance" `Quick
             (isolated test_violation_provenance);
           Alcotest.test_case "phase spans" `Quick (isolated test_phase_spans);
