@@ -19,8 +19,40 @@
    sequential ones. *)
 
 open Jt_workloads
+module Json = Jt_trace.Json
 
 let jobs = ref 1
+
+(* ---- one clock, one BENCH writer ---- *)
+
+(* Monotonic wall-clock seconds.  [Sys.time] is process CPU time summed
+   over domains, so no timing in this harness uses it. *)
+let wall () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
+
+(* When the running target started; the driver sets it. *)
+let target_start = ref (wall ())
+
+(* Every BENCH_<target>.json opens with the same envelope (target name,
+   envelope schema version, host cores, the target's wall time) ahead
+   of the target's own fields; the document is also echoed to stdout. *)
+let write_bench ~target fields =
+  let doc =
+    Json.(
+      to_document
+        (Obj
+           (("target", String target)
+           :: ("schema", Int 1)
+           :: ("host_cores", Int (Domain.recommended_domain_count ()))
+           :: ("wall_s", Float (wall () -. !target_start))
+           :: fields)))
+  in
+  let file =
+    "BENCH_" ^ String.map (function '-' -> '_' | c -> c) target ^ ".json"
+  in
+  let oc = open_out file in
+  output_string oc doc;
+  close_out oc;
+  print_string doc
 
 (* ---- per-benchmark measurement cache ---- *)
 
@@ -464,9 +496,9 @@ let dispatch_rows () =
     Jt_vm.Vm.boot vm ~main;
     (* count from a clean slate: nothing before [run] may leak in *)
     Jt_dbt.Dbt.reset_stats engine;
-    let t0 = Sys.time () in
+    let t0 = wall () in
     if vm.Jt_vm.Vm.status = Jt_vm.Vm.Running then Jt_dbt.Dbt.run engine;
-    let dt = Sys.time () -. t0 in
+    let dt = wall () -. t0 in
     (Jt_vm.Vm.result vm, Jt_dbt.Dbt.stats engine, dt)
   in
   let observable (r : Jt_vm.Vm.result) =
@@ -521,24 +553,6 @@ let dispatch_rows () =
       })
     loopy
 
-let dispatch_json rows =
-  let row_json r =
-    Printf.sprintf
-      "    {\"name\": \"%s\", \"block_execs\": %d, \"chain_hits\": %d, \
-       \"ibl_hits\": %d, \"ibl_misses\": %d, \"traces_built\": %d, \
-       \"trace_execs\": %d, \"dispatcher_entries\": %d, \
-       \"dispatcher_entries_chain_only\": %d, \
-       \"dispatcher_entries_unchained\": %d, \"chain_hit_rate\": %.4f, \
-       \"ibl_hit_rate\": %.4f, \"chain_ibl_hit_rate\": %.4f, \
-       \"blocks_per_sec\": %.0f, \"bit_identical\": %b}"
-      r.d_name r.d_block_execs r.d_chain_hits r.d_ibl_hits r.d_ibl_misses
-      r.d_traces_built r.d_trace_execs r.d_entries_full r.d_entries_chain_only
-      r.d_entries_unchained r.d_chain_hit_rate r.d_ibl_hit_rate
-      r.d_chain_ibl_hit_rate r.d_blocks_per_sec r.d_bit_identical
-  in
-  Printf.sprintf "{\n  \"target\": \"dispatch\",\n  \"workloads\": [\n%s\n  ]\n}\n"
-    (String.concat ",\n" (List.map row_json rows))
-
 let dispatch () =
   let rows = dispatch_rows () in
   let tbl_rows =
@@ -570,11 +584,25 @@ let dispatch () =
         Printf.printf "!! dispatch: %s diverged across fast-path configs\n"
           r.d_name)
     rows;
-  let json = dispatch_json rows in
-  let oc = open_out "BENCH_dispatch.json" in
-  output_string oc json;
-  close_out oc;
-  print_string json
+  let row_json r =
+    Json.(
+      Obj
+        [ ("name", String r.d_name); ("block_execs", Int r.d_block_execs);
+          ("chain_hits", Int r.d_chain_hits); ("ibl_hits", Int r.d_ibl_hits);
+          ("ibl_misses", Int r.d_ibl_misses);
+          ("traces_built", Int r.d_traces_built);
+          ("trace_execs", Int r.d_trace_execs);
+          ("dispatcher_entries", Int r.d_entries_full);
+          ("dispatcher_entries_chain_only", Int r.d_entries_chain_only);
+          ("dispatcher_entries_unchained", Int r.d_entries_unchained);
+          ("chain_hit_rate", Float r.d_chain_hit_rate);
+          ("ibl_hit_rate", Float r.d_ibl_hit_rate);
+          ("chain_ibl_hit_rate", Float r.d_chain_ibl_hit_rate);
+          ("blocks_per_sec", Float r.d_blocks_per_sec);
+          ("bit_identical", Bool r.d_bit_identical) ])
+  in
+  write_bench ~target:"dispatch"
+    [ ("workloads", Json.List (List.map row_json rows)) ]
 
 (* ---- shadow microbenchmark: per-byte loop vs page-at-a-time bulk ----
 
@@ -590,11 +618,11 @@ let shadow_bench () =
   let base = 0x5000_0000 in
   let naive_reps = 4 and bulk_reps = 1000 in
   let time reps f =
-    let t0 = Sys.time () in
+    let t0 = wall () in
     for _ = 1 to reps do
       f ()
     done;
-    max (Sys.time () -. t0) 1e-9
+    max (wall () -. t0) 1e-9
   in
   let mibs reps dt = float_of_int reps *. (float_of_int len /. dt) /. 1048576.0 in
   let dt_naive_poison =
@@ -683,9 +711,9 @@ let trace_overhead () =
   in
   let run_once registry main =
     let tool, _ = Jt_jasan.Jasan.create () in
-    let t0 = Sys.time () in
+    let t0 = wall () in
     let o = Janitizer.Driver.run ~tool ~registry ~main () in
-    (o.o_result, max (Sys.time () -. t0) 1e-9)
+    (o.o_result, max (wall () -. t0) 1e-9)
   in
   let rows =
     List.mapi
@@ -749,24 +777,19 @@ let trace_overhead () =
         r.tov_icount_overhead_pct)
     bad;
   let row_json r =
-    Printf.sprintf
-      "    {\"name\": \"%s\", \"icount\": %d, \"icount_overhead_pct\": %.4f, \
-       \"identical\": %b, \"events\": %d, \"dropped\": %d, \
-       \"host_off_s\": %.6f, \"host_on_s\": %.6f, \"host_ratio\": %.3f}"
-      r.tov_name r.tov_icount r.tov_icount_overhead_pct r.tov_identical
-      r.tov_events r.tov_dropped r.tov_host_off_s r.tov_host_on_s
-      r.tov_host_ratio
+    Json.(
+      Obj
+        [ ("name", String r.tov_name); ("icount", Int r.tov_icount);
+          ("icount_overhead_pct", Float r.tov_icount_overhead_pct);
+          ("identical", Bool r.tov_identical); ("events", Int r.tov_events);
+          ("dropped", Int r.tov_dropped); ("host_off_s", Float r.tov_host_off_s);
+          ("host_on_s", Float r.tov_host_on_s);
+          ("host_ratio", Float r.tov_host_ratio) ])
   in
-  let json =
-    Printf.sprintf
-      "{\n  \"target\": \"trace-overhead\",\n  \"budget_icount_pct\": 5.0,\n\
-      \  \"workloads\": [\n%s\n  ]\n}\n"
-      (String.concat ",\n" (List.map row_json rows))
-  in
-  let oc = open_out "BENCH_trace_overhead.json" in
-  output_string oc json;
-  close_out oc;
-  print_string json;
+  write_bench ~target:"trace-overhead"
+    Json.
+      [ ("budget_icount_pct", Float 5.0);
+        ("workloads", List (List.map row_json rows)) ];
   if bad <> [] then exit 1
 
 (* ---- parallel: sequential-vs-pool wall clock over the full sweep ----
@@ -808,9 +831,6 @@ let parallel_eval (s : Sheet.t) =
   }
 
 let parallel_bench () =
-  (* [Sys.time] is process CPU time — it *sums* across domains and would
-     hide any speedup — so this target alone measures wall clock. *)
-  let wall () = Unix.gettimeofday () in
   let n_jobs = if !jobs > 1 then !jobs else 4 in
   (* Speedup is bounded by the cores the host actually grants; recording
      the count keeps a 1-core CI container's sub-1x number interpretable
@@ -858,30 +878,22 @@ let parallel_bench () =
         if mismatches = [] then "yes" else "NO (" ^ String.concat "," mismatches ^ ")" );
     ];
   let row_json r =
-    Printf.sprintf
-      "    {\"name\": \"%s\", \"status\": \"%s\", \"icount\": %d, \
-       \"cycles\": %d, \"violations\": %d, \"rules\": %d}"
-      r.pr_name (String.escaped r.pr_status) r.pr_icount r.pr_cycles
-      r.pr_violations r.pr_rules
+    Json.(
+      Obj
+        [ ("name", String r.pr_name); ("status", String r.pr_status);
+          ("icount", Int r.pr_icount); ("cycles", Int r.pr_cycles);
+          ("violations", Int r.pr_violations); ("rules", Int r.pr_rules) ])
   in
-  let speedup_json =
-    match speedup with
-    | Some s -> Printf.sprintf "%.3f" s
-    | None -> "null,\n  \"speedup_reason\": \"single-core host\""
-  in
-  let json =
-    Printf.sprintf
-      "{\n  \"target\": \"parallel\",\n  \"jobs\": %d,\n  \"host_cores\": %d,\n\
-      \  \"sequential_wall_s\": %.3f,\n  \"parallel_wall_s\": %.3f,\n\
-      \  \"speedup\": %s,\n  \"bit_identical\": %b,\n\
-      \  \"workloads\": [\n%s\n  ]\n}\n"
-      n_jobs cores seq_s par_s speedup_json (mismatches = [])
-      (String.concat ",\n" (List.map row_json seq))
-  in
-  let oc = open_out "BENCH_parallel.json" in
-  output_string oc json;
-  close_out oc;
-  print_string json;
+  write_bench ~target:"parallel"
+    Json.(
+      [ ("jobs", Int n_jobs); ("sequential_wall_s", Float seq_s);
+        ("parallel_wall_s", Float par_s) ]
+      @ (match speedup with
+        | Some s -> [ ("speedup", Float s) ]
+        | None ->
+          [ ("speedup", Null); ("speedup_reason", String "single-core host") ])
+      @ [ ("bit_identical", Bool (mismatches = []));
+          ("workloads", List (List.map row_json seq)) ]);
   (* the bit-identical contract always gates; the wall-clock ratio gates
      only where the host could actually parallelize *)
   let slow = match speedup with Some s -> s < 1.0 | None -> false in
@@ -973,12 +985,8 @@ let elide_bench () =
     [ "bzip2"; "hmmer"; "libquantum"; "milc"; "lbm"; "sphinx3"; "perlbench";
       "h264ref" ]
   in
-  let observable (r : Jt_vm.Vm.result) = (r.r_status, r.r_output, r.r_icount) in
-  let vset (r : Jt_vm.Vm.result) =
-    List.sort_uniq compare
-      (List.map
-         (fun (v : Jt_vm.Vm.violation) -> (v.v_kind, v.v_addr))
-         r.r_violations)
+  let observable (r : Jt_vm.Vm.result) =
+    (r.r_status, r.r_output, r.r_icount, Jt_fuzz.Fuzz.vset r)
   in
   let run_once ~elide registry main =
     let tool, _ = Jt_jasan.Jasan.create ~elide () in
@@ -1009,8 +1017,7 @@ let elide_bench () =
           el_dom = dom;
           el_trace = trace;
           el_icount = r_on.Jt_vm.Vm.r_icount;
-          el_identical =
-            observable r_off = observable r_on && vset r_off = vset r_on;
+          el_identical = observable r_off = observable r_on;
         })
       subset
   in
@@ -1039,25 +1046,20 @@ let elide_bench () =
       Printf.eprintf "!! elide: %s diverged with elision on\n%!" r.el_name)
     diverged;
   let row_json r =
-    Printf.sprintf
-      "    {\"name\": \"%s\", \"checks_off\": %d, \"checks_on\": %d, \
-       \"reduction_pct\": %.4f, \"elide_frame\": %d, \"elide_dom\": %d, \
-       \"elide_trace\": %d, \"icount\": %d, \"identical\": %b}"
-      r.el_name r.el_checks_off r.el_checks_on
-      (100.0 *. (1.0 -. r.el_ratio))
-      r.el_frame r.el_dom r.el_trace r.el_icount r.el_identical
+    Json.(
+      Obj
+        [ ("name", String r.el_name); ("checks_off", Int r.el_checks_off);
+          ("checks_on", Int r.el_checks_on);
+          ("reduction_pct", Float (100.0 *. (1.0 -. r.el_ratio)));
+          ("elide_frame", Int r.el_frame); ("elide_dom", Int r.el_dom);
+          ("elide_trace", Int r.el_trace); ("icount", Int r.el_icount);
+          ("identical", Bool r.el_identical) ])
   in
-  let json =
-    Printf.sprintf
-      "{\n  \"target\": \"elide\",\n  \"gate_reduction_pct\": 45.0,\n\
-      \  \"geomean_reduction_pct\": %.4f,\n  \"workloads\": [\n%s\n  ]\n}\n"
-      geo_reduction
-      (String.concat ",\n" (List.map row_json rows))
-  in
-  let oc = open_out "BENCH_elide.json" in
-  output_string oc json;
-  close_out oc;
-  print_string json;
+  write_bench ~target:"elide"
+    Json.
+      [ ("gate_reduction_pct", Float 45.0);
+        ("geomean_reduction_pct", Float geo_reduction);
+        ("workloads", List (List.map row_json rows)) ];
   if diverged <> [] || geo_reduction < 45.0 then exit 1
 
 (* ---- trace-elide: the trace layer's own contribution ----
@@ -1089,12 +1091,8 @@ let trace_elide_bench () =
     [ "bzip2"; "hmmer"; "libquantum"; "milc"; "lbm"; "sphinx3"; "perlbench";
       "h264ref" ]
   in
-  let observable (r : Jt_vm.Vm.result) = (r.r_status, r.r_output, r.r_icount) in
-  let vset (r : Jt_vm.Vm.result) =
-    List.sort_uniq compare
-      (List.map
-         (fun (v : Jt_vm.Vm.violation) -> (v.v_kind, v.v_addr))
-         r.r_violations)
+  let observable (r : Jt_vm.Vm.result) =
+    (r.r_status, r.r_output, r.r_icount, Jt_fuzz.Fuzz.vset r)
   in
   let run_once ~hybrid ~trace_elide registry main =
     let tool, _ = Jt_jasan.Jasan.create () in
@@ -1130,8 +1128,7 @@ let trace_elide_bench () =
               te_dom = dom;
               te_streak = streak;
               te_ind = ind;
-              te_identical =
-                observable r_off = observable r_on && vset r_off = vset r_on;
+              te_identical = observable r_off = observable r_on;
             })
           subset)
       [ true; false ]
@@ -1171,22 +1168,15 @@ let trace_elide_bench () =
         r.te_name (mode r))
     diverged;
   let row_json r =
-    Printf.sprintf
-      "    {\"name\": \"%s\", \"mode\": \"%s\", \"checks_off\": %d, \
-       \"checks_on\": %d, \"trace_dom\": %d, \"trace_streak\": %d, \
-       \"trace_ind\": %d, \"identical\": %b}"
-      r.te_name (mode r) r.te_checks_off r.te_checks_on r.te_dom r.te_streak
-      r.te_ind r.te_identical
+    Json.(
+      Obj
+        [ ("name", String r.te_name); ("mode", String (mode r));
+          ("checks_off", Int r.te_checks_off); ("checks_on", Int r.te_checks_on);
+          ("trace_dom", Int r.te_dom); ("trace_streak", Int r.te_streak);
+          ("trace_ind", Int r.te_ind); ("identical", Bool r.te_identical) ])
   in
-  let json =
-    Printf.sprintf
-      "{\n  \"target\": \"trace-elide\",\n  \"workloads\": [\n%s\n  ]\n}\n"
-      (String.concat ",\n" (List.map row_json rows))
-  in
-  let oc = open_out "BENCH_trace_elide.json" in
-  output_string oc json;
-  close_out oc;
-  print_string json;
+  write_bench ~target:"trace-elide"
+    [ ("workloads", Json.List (List.map row_json rows)) ];
   if diverged <> [] then exit 1
 
 
@@ -1219,9 +1209,9 @@ let warmstart_eval ~store (s : Sheet.t) =
   let registry = w.Specgen.w_registry in
   let closure = Janitizer.Driver.static_closure ~registry ~main:name in
   let tool, _ = Jt_jasan.Jasan.create () in
-  let t0 = Unix.gettimeofday () in
+  let t0 = wall () in
   let files = Janitizer.Driver.analyze_all ~store ~tool closure in
-  let analysis_s = Unix.gettimeofday () -. t0 in
+  let analysis_s = wall () -. t0 in
   (* The simulated run consumes the rules just generated ([precomputed]
      covers the whole closure, so the run itself analyzes nothing); its
      observables depend only on those rule bytes. *)
@@ -1261,15 +1251,15 @@ let warmstart () =
     let a0 = Janitizer.Static_analyzer.analyses_performed () in
     Printf.eprintf "  warmstart: %s sweep (%d workloads, %d jobs)...\n%!"
       label (List.length Sheet.all) n_jobs;
-    let t0 = Unix.gettimeofday () in
+    let t0 = wall () in
     let evals =
       if n_jobs > 1 then
         Jt_pool.Pool.run ~jobs:n_jobs (warmstart_eval ~store) Sheet.all
       else List.map (warmstart_eval ~store) Sheet.all
     in
-    let wall = Unix.gettimeofday () -. t0 in
+    let dt = wall () -. t0 in
     let analyses = Janitizer.Static_analyzer.analyses_performed () - a0 in
-    (evals, wall, analyses, Jt_ir.Store.stats store)
+    (evals, dt, analyses, Jt_ir.Store.stats store)
   in
   let cold, cold_wall, cold_analyses, cold_stats = arm "cold" in
   let warm, warm_wall, warm_analyses, warm_stats = arm "warm" in
@@ -1317,40 +1307,33 @@ let warmstart () =
           else "NO (" ^ String.concat "," obs_mismatches ^ ")" );
       ]);
   let arm_json (st : Jt_ir.Store.stats) analyses a_wall wall =
-    Printf.sprintf
-      "{\"compute_runs\": %d, \"analysis_wall_s\": %.6f, \"wall_s\": %.6f, \
-       \"mem_hits\": %d, \"disk_hits\": %d, \"misses\": %d, \
-       \"corrupt\": %d, \"hit_rate\": %.4f}"
-      analyses a_wall wall st.Jt_ir.Store.st_mem_hits st.st_disk_hits
-      st.st_misses st.st_corrupt
-      (Jt_ir.Store.hit_rate st)
+    Json.(
+      Obj
+        [ ("compute_runs", Int analyses); ("analysis_wall_s", Float a_wall);
+          ("wall_s", Float wall); ("mem_hits", Int st.Jt_ir.Store.st_mem_hits);
+          ("disk_hits", Int st.st_disk_hits); ("misses", Int st.st_misses);
+          ("corrupt", Int st.st_corrupt);
+          ("hit_rate", Float (Jt_ir.Store.hit_rate st)) ])
   in
   let row_json (c, w) =
-    Printf.sprintf
-      "    {\"name\": \"%s\", \"cold_analysis_s\": %.6f, \
-       \"warm_analysis_s\": %.6f, \"rules_identical\": %b, \
-       \"observables_identical\": %b}"
-      c.we_name c.we_analysis_s w.we_analysis_s (c.we_rules = w.we_rules)
-      (observable c = observable w)
+    Json.(
+      Obj
+        [ ("name", String c.we_name); ("cold_analysis_s", Float c.we_analysis_s);
+          ("warm_analysis_s", Float w.we_analysis_s);
+          ("rules_identical", Bool (c.we_rules = w.we_rules));
+          ("observables_identical", Bool (observable c = observable w)) ])
   in
-  let json =
-    Printf.sprintf
-      "{\n  \"target\": \"warmstart\",\n  \"jobs\": %d,\n\
-      \  \"workloads\": %d,\n  \"cold\": %s,\n  \"warm\": %s,\n\
-      \  \"warm_compute_runs\": %d,\n  \"warm_hit_rate\": %.4f,\n\
-      \  \"rules_identical\": %b,\n  \"observables_identical\": %b,\n\
-      \  \"analysis_speedup\": %.3f,\n  \"per_workload\": [\n%s\n  ]\n}\n"
-      n_jobs (List.length cold)
-      (arm_json cold_stats cold_analyses cold_analysis_s cold_wall)
-      (arm_json warm_stats warm_analyses warm_analysis_s warm_wall)
-      warm_analyses warm_rate (rule_mismatches = []) (obs_mismatches = [])
-      (cold_analysis_s /. max warm_analysis_s 1e-9)
-      (String.concat ",\n" (List.map row_json pairs))
-  in
-  let oc = open_out "BENCH_warmstart.json" in
-  output_string oc json;
-  close_out oc;
-  print_string json;
+  write_bench ~target:"warmstart"
+    Json.
+      [ ("jobs", Int n_jobs); ("workloads", Int (List.length cold));
+        ("cold", arm_json cold_stats cold_analyses cold_analysis_s cold_wall);
+        ("warm", arm_json warm_stats warm_analyses warm_analysis_s warm_wall);
+        ("warm_compute_runs", Int warm_analyses);
+        ("warm_hit_rate", Float warm_rate);
+        ("rules_identical", Bool (rule_mismatches = []));
+        ("observables_identical", Bool (obs_mismatches = []));
+        ("analysis_speedup", Float (cold_analysis_s /. max warm_analysis_s 1e-9));
+        ("per_workload", List (List.map row_json pairs)) ];
   (* best-effort cleanup of the temp store *)
   ignore (Jt_ir.Store.clear (Jt_ir.Store.create ~dir ()));
   (try Sys.rmdir dir with Sys_error _ -> ());
@@ -1392,12 +1375,8 @@ type emit_row = {
 }
 
 let emit_bench () =
-  let observable (r : Jt_vm.Vm.result) = (r.r_status, r.r_output) in
-  let vset (r : Jt_vm.Vm.result) =
-    List.sort_uniq compare
-      (List.map
-         (fun (v : Jt_vm.Vm.violation) -> (v.v_kind, v.v_addr))
-         r.r_violations)
+  let observable (r : Jt_vm.Vm.result) =
+    (r.r_status, r.r_output, Jt_fuzz.Fuzz.vset r)
   in
   let lang_name = function
     | Sheet.C -> "C"
@@ -1453,9 +1432,7 @@ let emit_bench () =
             ~registry ~main:s.s_name ()
         in
         let native = Specgen.run_native w in
-        let identical =
-          observable er = observable h.o_result && vset er = vset h.o_result
-        in
+        let identical = observable er = observable h.o_result in
         let icount_ok =
           er.r_icount - e.ro_sites - e.ro_pins = h.o_result.r_icount
         in
@@ -1484,71 +1461,46 @@ let emit_bench () =
           :: !rows)
     Sheet.all;
   let rows = List.rev !rows and refusals = List.rev !refusals in
-  (* Juliet CWE-122: all C, so the whole suite must emit; gate on
-     detection parity with the hybrid for every bad/patched pair. *)
-  Printf.eprintf "  emit: juliet CWE-122 sweep...\n%!";
-  let juliet_cases = ref 0 and juliet_mismatches = ref 0 in
-  List.iter
-    (fun (c : Juliet.case) ->
-      List.iter
-        (fun bad ->
-          let m = Juliet.build_case c ~bad in
-          let registry = Juliet.registry_for m in
-          let main = m.Jt_obj.Objfile.name in
-          incr juliet_cases;
-          match
-            Jt_emit.Emit.emit_program ~tool:emit_tool ~registry ~main ()
-          with
-          | Error _ -> incr juliet_mismatches
-          | Ok p ->
-            let e = Jt_emit.Emit.run p in
-            let er = e.Jt_emit.Emit.ro_outcome.Janitizer.Driver.o_result in
-            let tool, _ = Jt_jasan.Jasan.create ~elide:true () in
-            let h = Janitizer.Driver.run ~tool ~registry ~main () in
-            if
-              not
-                (observable er = observable h.o_result
-                && vset er = vset h.o_result)
-            then incr juliet_mismatches)
-        [ false; true ])
-    Juliet.cases;
-  if !juliet_mismatches > 0 then
-    failures :=
-      Printf.sprintf "juliet: %d/%d emitted-vs-hybrid mismatches"
-        !juliet_mismatches !juliet_cases
-      :: !failures;
-  (* Sibling families (CWE-124/415/416/121): same parity gate. *)
-  Printf.eprintf "  emit: juliet sibling-family sweep...\n%!";
-  let family_cases_n = ref 0 and family_mismatches = ref 0 in
-  List.iter
-    (fun (c : Juliet.fcase) ->
-      List.iter
-        (fun bad ->
-          let m = Juliet.build_family_case c ~bad in
-          let registry = Juliet.registry_for m in
-          let main = m.Jt_obj.Objfile.name in
-          incr family_cases_n;
-          match
-            Jt_emit.Emit.emit_program ~tool:emit_tool ~registry ~main ()
-          with
-          | Error _ -> incr family_mismatches
-          | Ok p ->
-            let e = Jt_emit.Emit.run p in
-            let er = e.Jt_emit.Emit.ro_outcome.Janitizer.Driver.o_result in
-            let tool, _ = Jt_jasan.Jasan.create ~elide:true () in
-            let h = Janitizer.Driver.run ~tool ~registry ~main () in
-            if
-              not
-                (observable er = observable h.o_result
-                && vset er = vset h.o_result)
-            then incr family_mismatches)
-        [ false; true ])
-    Juliet.all_family_cases;
-  if !family_mismatches > 0 then
-    failures :=
-      Printf.sprintf "juliet families: %d/%d emitted-vs-hybrid mismatches"
-        !family_mismatches !family_cases_n
-      :: !failures;
+  (* Juliet CWE-122 and its sibling families (CWE-124/415/416/121): all
+     C, so every case must emit; gate on detection parity with the
+     hybrid for every bad/patched pair.  Returns (runs, mismatches). *)
+  let juliet_sweep label build cases =
+    Printf.eprintf "  emit: %s sweep...\n%!" label;
+    let runs = ref 0 and mismatches = ref 0 in
+    List.iter
+      (fun c ->
+        List.iter
+          (fun bad ->
+            let m = build c ~bad in
+            let registry = Juliet.registry_for m in
+            let main = m.Jt_obj.Objfile.name in
+            incr runs;
+            match
+              Jt_emit.Emit.emit_program ~tool:emit_tool ~registry ~main ()
+            with
+            | Error _ -> incr mismatches
+            | Ok p ->
+              let e = Jt_emit.Emit.run p in
+              let er = e.Jt_emit.Emit.ro_outcome.Janitizer.Driver.o_result in
+              let tool, _ = Jt_jasan.Jasan.create ~elide:true () in
+              let h = Janitizer.Driver.run ~tool ~registry ~main () in
+              if observable er <> observable h.o_result then incr mismatches)
+          [ false; true ])
+      cases;
+    if !mismatches > 0 then
+      failures :=
+        Printf.sprintf "%s: %d/%d emitted-vs-hybrid mismatches" label
+          !mismatches !runs
+        :: !failures;
+    (!runs, !mismatches)
+  in
+  let juliet_cases, juliet_mismatches =
+    juliet_sweep "juliet" Juliet.build_case Juliet.cases
+  in
+  let family_cases_n, family_mismatches =
+    juliet_sweep "juliet families" Juliet.build_family_case
+      Juliet.all_family_cases
+  in
   open_table "AOT emit vs hybrid DBT (JASan, elision on)"
     "slowdown vs native / materialized sites / pin hops"
     [ "emit x"; "hybrid x"; "sites"; "pins"; "check cyc" ]
@@ -1573,50 +1525,44 @@ let emit_bench () =
      translation overhead)\n"
     (geo (fun r -> r.eb_slow_emit))
     (geo (fun r -> r.eb_slow_hybrid));
-  Printf.printf "juliet CWE-122: %d runs, %d mismatches\n" !juliet_cases
-    !juliet_mismatches;
+  Printf.printf "juliet CWE-122: %d runs, %d mismatches\n" juliet_cases
+    juliet_mismatches;
   Printf.printf "juliet families (124/415/416/121): %d runs, %d mismatches\n"
-    !family_cases_n !family_mismatches;
+    family_cases_n family_mismatches;
   List.iter (fun f -> Printf.eprintf "!! emit: %s\n%!" f) !failures;
   let row_json r =
-    Printf.sprintf
-      "    {\"name\": \"%s\", \"lang\": \"%s\", \"sites\": %d, \"pins\": %d, \
-       \"check_cycles\": %d, \"slowdown_emit\": %.4f, \"slowdown_hybrid\": \
-       %.4f, \"identical\": %b, \"icount_exact\": %b, \"cycles_exact\": %b}"
-      r.eb_name r.eb_lang r.eb_sites r.eb_pins r.eb_check_cost r.eb_slow_emit
-      r.eb_slow_hybrid r.eb_identical r.eb_icount_ok r.eb_cycles_ok
+    Json.(
+      Obj
+        [ ("name", String r.eb_name); ("lang", String r.eb_lang);
+          ("sites", Int r.eb_sites); ("pins", Int r.eb_pins);
+          ("check_cycles", Int r.eb_check_cost);
+          ("slowdown_emit", Float r.eb_slow_emit);
+          ("slowdown_hybrid", Float r.eb_slow_hybrid);
+          ("identical", Bool r.eb_identical); ("icount_exact", Bool r.eb_icount_ok);
+          ("cycles_exact", Bool r.eb_cycles_ok) ])
   in
   let refusal_json (n, lang, m, r) =
-    Printf.sprintf
-      "    {\"name\": \"%s\", \"lang\": \"%s\", \"module\": \"%s\", \
-       \"refusal\": \"%s\"}"
-      n lang m r
+    Json.(
+      Obj
+        [ ("name", String n); ("lang", String lang); ("module", String m);
+          ("refusal", String r) ])
   in
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"target\": \"emit\",\n\
-      \  \"gate\": \"bit-identical differential on emittable workloads, \
-       typed refusals elsewhere, exact icount/cycle accounting\",\n\
-      \  \"geomean_slowdown_emit\": %.4f,\n\
-      \  \"geomean_slowdown_hybrid\": %.4f,\n\
-      \  \"juliet\": {\"runs\": %d, \"mismatches\": %d},\n\
-      \  \"juliet_families\": {\"runs\": %d, \"mismatches\": %d},\n\
-      \  \"failures\": %d,\n\
-      \  \"workloads\": [\n%s\n  ],\n\
-      \  \"refusals\": [\n%s\n  ]\n\
-       }\n"
-      (geo (fun r -> r.eb_slow_emit))
-      (geo (fun r -> r.eb_slow_hybrid))
-      !juliet_cases !juliet_mismatches !family_cases_n !family_mismatches
-      (List.length !failures)
-      (String.concat ",\n" (List.map row_json rows))
-      (String.concat ",\n" (List.map refusal_json refusals))
+  let parity runs mismatches =
+    Json.(Obj [ ("runs", Int runs); ("mismatches", Int mismatches) ])
   in
-  let oc = open_out "BENCH_emit.json" in
-  output_string oc json;
-  close_out oc;
-  print_string json;
+  write_bench ~target:"emit"
+    Json.
+      [ ( "gate",
+          String
+            "bit-identical differential on emittable workloads, typed \
+             refusals elsewhere, exact icount/cycle accounting" );
+        ("geomean_slowdown_emit", Float (geo (fun r -> r.eb_slow_emit)));
+        ("geomean_slowdown_hybrid", Float (geo (fun r -> r.eb_slow_hybrid)));
+        ("juliet", parity juliet_cases juliet_mismatches);
+        ("juliet_families", parity family_cases_n family_mismatches);
+        ("failures", Int (List.length !failures));
+        ("workloads", List (List.map row_json rows));
+        ("refusals", List (List.map refusal_json refusals)) ];
   if !failures <> [] then exit 1
 
 (* ---- differential soundness fuzzer ---- *)
@@ -1650,37 +1596,27 @@ let fuzz_bench () =
       Printf.eprintf "!! fuzz: %s %s: %s\n%!" m.mm_case m.mm_scheme m.mm_what)
     r.rp_mismatches;
   let row_json (x : Jt_fuzz.Fuzz.matrix_row) =
-    Printf.sprintf
-      "    {\"scheme\": \"%s\", \"tp\": %d, \"fn\": %d, \"tn\": %d, \"fp\": \
-       %d, \"refused\": %d}"
-      x.mx_scheme x.mx_tp x.mx_fn x.mx_tn x.mx_fp x.mx_refused
+    Json.(
+      Obj
+        [ ("scheme", String x.mx_scheme); ("tp", Int x.mx_tp); ("fn", Int x.mx_fn);
+          ("tn", Int x.mx_tn); ("fp", Int x.mx_fp); ("refused", Int x.mx_refused) ])
   in
   let mismatch_json (m : Jt_fuzz.Fuzz.mismatch) =
-    Printf.sprintf "    {\"case\": \"%s\", \"scheme\": \"%s\", \"what\": \"%s\"}"
-      m.mm_case m.mm_scheme m.mm_what
+    Json.(
+      Obj
+        [ ("case", String m.mm_case); ("scheme", String m.mm_scheme);
+          ("what", String m.mm_what) ])
   in
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"target\": \"fuzz\",\n\
-      \  \"gate\": \"expected detection matrix, bit-identical observables, \
-       exact icount accounting, hybrid=emitted violation sets\",\n\
-      \  \"base_seed\": %d,\n\
-      \  \"cases\": %d,\n\
-      \  \"runs\": %d,\n\
-      \  \"mismatches\": %d,\n\
-      \  \"matrix\": [\n%s\n  ],\n\
-      \  \"mismatch_list\": [\n%s\n  ]\n\
-       }\n"
-      base_seed r.rp_cases r.rp_runs
-      (List.length r.rp_mismatches)
-      (String.concat ",\n" (List.map row_json r.rp_matrix))
-      (String.concat ",\n" (List.map mismatch_json r.rp_mismatches))
-  in
-  let oc = open_out "BENCH_fuzz.json" in
-  output_string oc json;
-  close_out oc;
-  print_string json;
+  write_bench ~target:"fuzz"
+    Json.
+      [ ( "gate",
+          String
+            "expected detection matrix, bit-identical observables, exact \
+             icount accounting, hybrid=emitted violation sets" );
+        ("base_seed", Int base_seed); ("cases", Int r.rp_cases);
+        ("runs", Int r.rp_runs); ("mismatches", Int (List.length r.rp_mismatches));
+        ("matrix", List (List.map row_json r.rp_matrix));
+        ("mismatch_list", List (List.map mismatch_json r.rp_mismatches)) ];
   if r.rp_mismatches <> [] then exit 1
 
 (* ---- air: per-site CPA policy vs any-entry ----
@@ -1790,43 +1726,31 @@ let air_bench () =
     | Sheet.Mixed_cf -> "mixed C/Fortran"
   in
   let report_json (sr : Jt_jcfi.Air.static_report) =
-    Printf.sprintf
-      "{\"air\": %.6f, \"fwd\": %.6f, \"bwd\": %.6f, \"icalls\": %d, \
-       \"resolved\": %d, \"hist\": [%s]}"
-      sr.Jt_jcfi.Air.sr_air sr.sr_fwd sr.sr_bwd sr.sr_icalls sr.sr_resolved
-      (String.concat ", "
-         (List.map
-            (fun (size, n) ->
-              Printf.sprintf "{\"size\": %d, \"sites\": %d}" size n)
-            sr.sr_hist))
+    let bucket (size, n) = Json.(Obj [ ("size", Int size); ("sites", Int n) ]) in
+    Json.(
+      Obj
+        [ ("air", Float sr.Jt_jcfi.Air.sr_air); ("fwd", Float sr.sr_fwd);
+          ("bwd", Float sr.sr_bwd); ("icalls", Int sr.sr_icalls);
+          ("resolved", Int sr.sr_resolved);
+          ("hist", List (List.map bucket sr.sr_hist)) ])
   in
   let row_json r =
-    Printf.sprintf
-      "    {\"name\": \"%s\", \"lang\": \"%s\",\n\
-      \     \"static_any\": %s,\n\
-      \     \"static_cpa\": %s,\n\
-      \     \"dynamic_any\": %.6f, \"dynamic_cpa\": %.6f,\n\
-      \     \"observed_icalls\": %d, \"violations\": %d}"
-      r.ar_sheet.Sheet.s_name
-      (lang_name r.ar_sheet.Sheet.s_lang)
-      (report_json r.ar_s_any) (report_json r.ar_s_cpa) r.ar_d_any r.ar_d_cpa
-      r.ar_observed r.ar_violations
+    Json.(
+      Obj
+        [ ("name", String r.ar_sheet.Sheet.s_name);
+          ("lang", String (lang_name r.ar_sheet.Sheet.s_lang));
+          ("static_any", report_json r.ar_s_any);
+          ("static_cpa", report_json r.ar_s_cpa);
+          ("dynamic_any", Float r.ar_d_any); ("dynamic_cpa", Float r.ar_d_cpa);
+          ("observed_icalls", Int r.ar_observed);
+          ("violations", Int r.ar_violations) ])
   in
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"target\": \"air\",\n\
-      \  \"c_sweep_static_fwd_any\": %.6f,\n\
-      \  \"c_sweep_static_fwd_cpa\": %.6f,\n\
-      \  \"oracle_violations\": %d,\n\
-      \  \"workloads\": [\n%s\n  ]\n}\n"
-      c_any c_cpa total_violations
-      (String.concat ",\n" (List.map row_json rows))
-  in
-  let oc = open_out "BENCH_air.json" in
-  output_string oc json;
-  close_out oc;
-  print_string json;
+  write_bench ~target:"air"
+    Json.
+      [ ("c_sweep_static_fwd_any", Float c_any);
+        ("c_sweep_static_fwd_cpa", Float c_cpa);
+        ("oracle_violations", Int total_violations);
+        ("workloads", List (List.map row_json rows)) ];
   if total_violations > 0 || c_cpa <= c_any then exit 1
 
 (* ---- driver ---- *)
@@ -1859,16 +1783,9 @@ let targets =
    rest are target names. *)
 let rec parse_args = function
   | [] -> []
+  | arg :: rest when String.starts_with ~prefix:"--jobs=" arg ->
+    parse_args ("--jobs" :: String.sub arg 7 (String.length arg - 7) :: rest)
   | "--jobs" :: n :: rest -> (
-    match int_of_string_opt n with
-    | Some v when v >= 1 ->
-      jobs := v;
-      parse_args rest
-    | _ ->
-      Printf.eprintf "bad --jobs value %S\n" n;
-      exit 2)
-  | arg :: rest when String.length arg > 7 && String.sub arg 0 7 = "--jobs=" -> (
-    let n = String.sub arg 7 (String.length arg - 7) in
     match int_of_string_opt n with
     | Some v when v >= 1 ->
       jobs := v;
@@ -1878,6 +1795,10 @@ let rec parse_args = function
       exit 2)
   | arg :: rest -> arg :: parse_args rest
 
+let run_target f =
+  target_start := wall ();
+  f ()
+
 let () =
   let args = parse_args (List.tl (Array.to_list Sys.argv)) in
   match args with
@@ -1885,11 +1806,15 @@ let () =
     List.iter (fun (n, _) -> print_endline n) targets
   | [] ->
     Printf.printf "janitizer benchmark harness: regenerating all figures\n%!";
-    List.iter (fun (n, f) -> Printf.printf "\n---- %s ----\n%!" n; f ()) targets
+    List.iter
+      (fun (n, f) ->
+        Printf.printf "\n---- %s ----\n%!" n;
+        run_target f)
+      targets
   | names ->
     List.iter
       (fun n ->
         match List.assoc_opt n targets with
-        | Some f -> f ()
+        | Some f -> run_target f
         | None -> Printf.eprintf "unknown target %s (try 'list')\n" n)
       names

@@ -195,114 +195,82 @@ let disasm_cmd =
    the DBT's spine analysis made on the workload's hot superblocks
    (reasons "trace-dom", "trace-streak", "trace-ind"),
    collected from one instrumented run. *)
-let dump_facts oc ?(traces = []) (closure : Jt_obj.Objfile.t list) =
-  let jstr s = "\"" ^ String.concat "\\\"" (String.split_on_char '"' s) ^ "\"" in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n  \"modules\": [\n";
-  List.iteri
-    (fun mi (m : Jt_obj.Objfile.t) ->
-      let sa = Janitizer.Static_analyzer.analyze m in
-      let reports = Jt_jasan.Jasan.elision_report sa in
-      Buffer.add_string buf
-        (Printf.sprintf "    {\"module\": %s, \"functions\": [\n" (jstr m.name));
-      List.iteri
-        (fun fi ((fa : Janitizer.Static_analyzer.fn_analysis),
-                 (r : Jt_jasan.Jasan.fn_report)) ->
-          let vsa = Lazy.force fa.fa_vsa in
-          Buffer.add_string buf
-            (Printf.sprintf
-               "      {\"entry\": %d, \"vsa_bailed\": %b, \
-                \"vsa_iterations\": %d,\n"
-               r.er_fn r.er_vsa_bailed (Jt_analysis.Vsa.iterations vsa));
-          Buffer.add_string buf "       \"blocks\": [";
-          List.iteri
-            (fun bi (b : Jt_cfg.Cfg.block) ->
-              if bi > 0 then Buffer.add_string buf ", ";
-              let regs =
-                match Jt_analysis.Vsa.block_in vsa b.b_addr with
-                | None -> []
-                | Some rs ->
-                  (* Top rows carry no information; keep the dump small *)
-                  List.filter
-                    (fun (_, v) -> v <> Jt_analysis.Vsa.Top)
-                    rs
-              in
-              Buffer.add_string buf
-                (Printf.sprintf "{\"addr\": %d, \"regs\": {%s}}" b.b_addr
-                   (String.concat ", "
-                      (List.map
-                         (fun (reg, v) ->
-                           Printf.sprintf "%s: %s"
-                             (jstr (Format.asprintf "%a" Jt_isa.Reg.pp reg))
-                             (jstr (Jt_analysis.Vsa.value_to_string v)))
-                         regs))))
-            (Jt_cfg.Cfg.fn_blocks fa.fa_fn);
-          Buffer.add_string buf "],\n       \"accesses\": [";
-          List.iteri
-            (fun ai (addr, claim) ->
-              if ai > 0 then Buffer.add_string buf ", ";
-              let witness =
-                match claim with
-                | Jt_jasan.Jasan.Dom_elided w ->
-                  Printf.sprintf ", \"witness\": %d" w
-                | _ -> ""
-              in
-              Buffer.add_string buf
-                (Printf.sprintf "{\"insn\": %d, \"claim\": %s%s}" addr
-                   (jstr (Jt_jasan.Jasan.claim_name claim))
-                   witness))
-            r.er_claims;
-          Buffer.add_string buf "]}";
-          if fi < List.length reports - 1 then Buffer.add_string buf ",";
-          Buffer.add_char buf '\n')
-        (List.combine sa.sa_fns reports);
-      Buffer.add_string buf "    ],\n     \"cpa_sites\": [";
-      List.iteri
-        (fun si (s : Jt_analysis.Cpa.site) ->
-          if si > 0 then Buffer.add_string buf ", ";
-          let targets =
-            match s.cs_targets with
-            | None -> "\"Top\""
-            | Some ts ->
-              "[" ^ String.concat ", " (List.map string_of_int ts) ^ "]"
-          in
-          Buffer.add_string buf
-            (Printf.sprintf
-               "{\"entry\": %d, \"site\": %d, \"targets\": %s, \
-                \"witness\": %d}"
-               s.cs_fn s.cs_site targets s.cs_witness))
-        (Jt_analysis.Cpa.sites (Lazy.force sa.sa_cpa));
-      Buffer.add_string buf "],\n     \"callgraph\": [";
-      List.iteri
-        (fun ei (e : Jt_cfg.Callgraph.edge) ->
-          if ei > 0 then Buffer.add_string buf ", ";
-          Buffer.add_string buf
-            (Printf.sprintf
-               "{\"caller\": %d, \"site\": %d, \"callee\": %d, \"kind\": %s}"
-               e.e_caller e.e_site e.e_callee
-               (jstr (Jt_cfg.Callgraph.kind_name e.e_kind))))
-        (Jt_cfg.Callgraph.edges (Lazy.force sa.sa_callgraph));
-      Buffer.add_string buf "]}";
-      if mi < List.length closure - 1 then Buffer.add_string buf ",";
-      Buffer.add_char buf '\n')
-    closure;
-  Buffer.add_string buf "  ],\n  \"traces\": [\n";
-  List.iteri
-    (fun ti (head, decisions) ->
-      Buffer.add_string buf
-        (Printf.sprintf "    {\"head\": %d, \"decisions\": [%s]}" head
-           (String.concat ", "
-              (List.map
-                 (fun (insn, reason, witness) ->
-                   Printf.sprintf
-                     "{\"insn\": %d, \"reason\": %s, \"witness\": %d}" insn
-                     (jstr reason) witness)
-                 decisions)));
-      if ti < List.length traces - 1 then Buffer.add_string buf ",";
-      Buffer.add_char buf '\n')
-    traces;
-  Buffer.add_string buf "  ]\n}\n";
-  Buffer.output_buffer oc buf
+let facts_json ~traces (closure : Jt_obj.Objfile.t list) =
+  let open Jt_trace.Json in
+  let fn_json
+      ( (fa : Janitizer.Static_analyzer.fn_analysis),
+        (r : Jt_jasan.Jasan.fn_report) ) =
+    let vsa = Lazy.force fa.fa_vsa in
+    let block_json (b : Jt_cfg.Cfg.block) =
+      let regs =
+        match Jt_analysis.Vsa.block_in vsa b.b_addr with
+        | None -> []
+        | Some rs ->
+          (* Top rows carry no information; keep the dump small *)
+          List.filter_map
+            (fun (reg, v) ->
+              if v = Jt_analysis.Vsa.Top then None
+              else
+                Some
+                  ( Format.asprintf "%a" Jt_isa.Reg.pp reg,
+                    String (Jt_analysis.Vsa.value_to_string v) ))
+            rs
+      in
+      Obj [ ("addr", Int b.b_addr); ("regs", Obj regs) ]
+    in
+    let access_json (addr, claim) =
+      let witness =
+        match claim with
+        | Jt_jasan.Jasan.Dom_elided w -> [ ("witness", Int w) ]
+        | _ -> []
+      in
+      Obj
+        (("insn", Int addr) :: ("claim", String (Jt_jasan.Jasan.claim_name claim))
+        :: witness)
+    in
+    Obj
+      [ ("entry", Int r.er_fn); ("vsa_bailed", Bool r.er_vsa_bailed);
+        ("vsa_iterations", Int (Jt_analysis.Vsa.iterations vsa));
+        ("blocks", List (List.map block_json (Jt_cfg.Cfg.fn_blocks fa.fa_fn)));
+        ("accesses", List (List.map access_json r.er_claims)) ]
+  in
+  let site_json (s : Jt_analysis.Cpa.site) =
+    Obj
+      [ ("entry", Int s.cs_fn); ("site", Int s.cs_site);
+        ( "targets",
+          match s.cs_targets with
+          | None -> String "Top"
+          | Some ts -> List (List.map (fun t -> Int t) ts) );
+        ("witness", Int s.cs_witness) ]
+  in
+  let edge_json (e : Jt_cfg.Callgraph.edge) =
+    Obj
+      [ ("caller", Int e.e_caller); ("site", Int e.e_site);
+        ("callee", Int e.e_callee);
+        ("kind", String (Jt_cfg.Callgraph.kind_name e.e_kind)) ]
+  in
+  let module_json (m : Jt_obj.Objfile.t) =
+    let sa = Janitizer.Static_analyzer.analyze m in
+    let reports = Jt_jasan.Jasan.elision_report sa in
+    let sites = Jt_analysis.Cpa.sites (Lazy.force sa.sa_cpa) in
+    let edges = Jt_cfg.Callgraph.edges (Lazy.force sa.sa_callgraph) in
+    Obj
+      [ ("module", String m.name);
+        ("functions", List (List.map fn_json (List.combine sa.sa_fns reports)));
+        ("cpa_sites", List (List.map site_json sites));
+        ("callgraph", List (List.map edge_json edges)) ]
+  in
+  let decision_json (insn, reason, witness) =
+    Obj [ ("insn", Int insn); ("reason", String reason); ("witness", Int witness) ]
+  in
+  let trace_json (head, decisions) =
+    Obj
+      [ ("head", Int head);
+        ("decisions", List (List.map decision_json decisions)) ]
+  in
+  Obj
+    [ ("modules", List (List.map module_json closure));
+      ("traces", List (List.map trace_json traces)) ]
 
 let analyze_cmd =
   let doc =
@@ -368,7 +336,9 @@ let analyze_cmd =
             ~main:name ()
         in
         let oc = open_out file in
-        dump_facts oc ~traces:o.o_trace_elisions closure;
+        output_string oc
+          (Jt_trace.Json.to_document
+             (facts_json ~traces:o.o_trace_elisions closure));
         close_out oc;
         Printf.printf "dataflow facts -> %s (%d live traces)\n" file
           (List.length o.o_trace_elisions)
@@ -530,31 +500,34 @@ let batch_cmd =
       if jobs > 1 then Jt_pool.Pool.run ~jobs eval matrix else List.map eval matrix
     in
     let wall = Unix.gettimeofday () -. t0 in
-    let oc = open_out out in
-    Printf.fprintf oc "{\n  \"jobs\": %d,\n  \"wall_s\": %.3f,\n" jobs wall;
-    (match store with
-    | None -> ()
-    | Some st ->
+    let run_json (name, tool, (o : Janitizer.Driver.outcome)) =
+      let r = o.o_result in
+      Jt_trace.Json.(
+        Obj
+          [ ("workload", String name); ("tool", String (tool_name tool));
+            ("status", String (Format.asprintf "%a" Jt_vm.Vm.pp_status r.r_status));
+            ("icount", Int r.r_icount); ("cycles", Int r.r_cycles);
+            ("violations", Int (List.length r.r_violations));
+            ("rules", Int o.o_rule_count) ])
+    in
+    let store_json st =
       let s = Jt_ir.Store.stats st in
-      Printf.fprintf oc
-        "  \"store\": {\"mem_hits\": %d, \"disk_hits\": %d, \"misses\": %d, \
-         \"evictions\": %d, \"corrupt\": %d, \"hit_rate\": %.4f},\n"
-        s.st_mem_hits s.st_disk_hits s.st_misses s.st_evictions s.st_corrupt
-        (Jt_ir.Store.hit_rate s));
-    output_string oc "  \"runs\": [\n";
-    List.iteri
-      (fun i (name, tool, (o : Janitizer.Driver.outcome)) ->
-        Printf.fprintf oc
-          "    {\"workload\": %S, \"tool\": %S, \"status\": %S, \"icount\": %d, \
-           \"cycles\": %d, \"violations\": %d, \"rules\": %d}%s\n"
-          name (tool_name tool)
-          (Format.asprintf "%a" Jt_vm.Vm.pp_status o.o_result.r_status)
-          o.o_result.r_icount o.o_result.r_cycles
-          (List.length o.o_result.r_violations)
-          o.o_rule_count
-          (if i = List.length results - 1 then "" else ","))
-      results;
-    output_string oc "  ]\n}\n";
+      Jt_trace.Json.(
+        Obj
+          [ ("mem_hits", Int s.st_mem_hits); ("disk_hits", Int s.st_disk_hits);
+            ("misses", Int s.st_misses); ("evictions", Int s.st_evictions);
+            ("corrupt", Int s.st_corrupt);
+            ("hit_rate", Float (Jt_ir.Store.hit_rate s)) ])
+    in
+    let report =
+      Jt_trace.Json.(
+        Obj
+          ([ ("jobs", Int jobs); ("wall_s", Float wall) ]
+          @ Option.to_list (Option.map (fun st -> ("store", store_json st)) store)
+          @ [ ("runs", List (List.map run_json results)) ]))
+    in
+    let oc = open_out out in
+    output_string oc (Jt_trace.Json.to_document report);
     close_out oc;
     Printf.printf "%d runs (%d workloads x %d tools), %d jobs, %.3fs -> %s\n"
       (List.length results) (List.length names) (List.length tools) jobs wall out
@@ -749,13 +722,9 @@ let emit_cmd =
             Janitizer.Driver.run ~tool:t ~registry:w.w_registry ~main:name ()
           | _ -> assert false
         in
-        let vset (r : Jt_vm.Vm.result) =
-          List.sort_uniq compare
-            (List.map (fun v -> (v.Jt_vm.Vm.v_kind, v.v_addr)) r.r_violations)
-        in
         let identical =
           (er.r_status, er.r_output) = (h.o_result.r_status, h.o_result.r_output)
-          && vset er = vset h.o_result
+          && Jt_fuzz.Fuzz.vset er = Jt_fuzz.Fuzz.vset h.o_result
           && er.r_icount - e.ro_sites - e.ro_pins = h.o_result.r_icount
         in
         Printf.printf

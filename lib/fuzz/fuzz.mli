@@ -75,6 +75,10 @@ type expectation = Expect_kinds of string list | Expect_refusal
 
 val expected : case -> scheme -> expectation
 
+val vset : Jt_vm.Vm.result -> (string * int) list
+(** The run's violations as a sorted, duplicate-free [(kind, addr)] set:
+    what differential gates compare between two runs of one program. *)
+
 type mismatch = { mm_case : string; mm_scheme : string; mm_what : string }
 
 (** Detection matrix against ground truth (was a bug injected?) — an

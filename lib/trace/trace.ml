@@ -314,127 +314,54 @@ let events () =
     let first = r.total - n in
     List.init n (fun i -> r.buf.((first + i) mod r.cap))
 
-(* ---- snapshots: carrying a domain's capture back to an aggregator ---- *)
-
-type snapshot = {
-  sn_events : event list;
-  sn_emitted : int;
-  sn_dropped : int;
-  sn_phases : phase_summary list;
-}
-
-let snapshot () =
-  {
-    sn_events = events ();
-    sn_emitted = emitted ();
-    sn_dropped = dropped ();
-    sn_phases = phase_totals ();
-  }
-
-let merge snaps =
-  let zero =
-    List.map
-      (fun p -> { ps_phase = p; ps_spans = 0; ps_host_s = 0.0; ps_cycles = 0 })
-      phases
-  in
-  let add_phases acc ps =
-    List.map2
-      (fun a b ->
-        { a with
-          ps_spans = a.ps_spans + b.ps_spans;
-          ps_host_s = a.ps_host_s +. b.ps_host_s;
-          ps_cycles = a.ps_cycles + b.ps_cycles })
-      acc ps
-  in
-  List.fold_left
-    (fun acc sn ->
-      {
-        sn_events = acc.sn_events @ sn.sn_events;
-        sn_emitted = acc.sn_emitted + sn.sn_emitted;
-        sn_dropped = acc.sn_dropped + sn.sn_dropped;
-        sn_phases = add_phases acc.sn_phases sn.sn_phases;
-      })
-    { sn_events = []; sn_emitted = 0; sn_dropped = 0; sn_phases = zero }
-    snaps
-
 (* ---- JSONL export / import ---- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let event_to_json ev =
-  let obj fields =
-    "{" ^ String.concat ", " (List.map (fun (k, v) -> Printf.sprintf "\"%s\": %s" k v) fields) ^ "}"
+  let i v = Json.Int v and s v = Json.String v in
+  let fields =
+    match ev with
+    | Block_translate { pc; insns; origin } ->
+      [ ("pc", i pc); ("insns", i insns); ("origin", s (origin_name origin)) ]
+    | Block_exec { pc } -> [ ("pc", i pc) ]
+    | Chain_link { from_pc; to_pc } | Chain_sever { from_pc; to_pc } ->
+      [ ("from", i from_pc); ("to", i to_pc) ]
+    | Ibl_hit { site; target } | Ibl_miss { site; target } ->
+      [ ("site", i site); ("target", i target) ]
+    | Trace_build { head; blocks } -> [ ("head", i head); ("blocks", i blocks) ]
+    | Trace_teardown { head } -> [ ("head", i head) ]
+    | Trace_elide { head; insn; reason; witness } ->
+      [ ("head", i head); ("insn", i insn); ("reason", s reason);
+        ("witness", i witness) ]
+    | Flush_range { start; len } -> [ ("start", i start); ("len", i len) ]
+    | Module_load { name; base } -> [ ("name", s name); ("base", i base) ]
+    | Module_unload { name } | Store_miss { name } | Store_evict { name } ->
+      [ ("name", s name) ]
+    | Dlopen { name; handle } -> [ ("name", s name); ("handle", i handle) ]
+    | Dlclose { name; ok } -> [ ("name", s name); ("ok", Json.Bool ok) ]
+    | Plt_resolve { caller; target } ->
+      [ ("caller", i caller); ("target", i target) ]
+    | Shadow_poison { addr; len; state } ->
+      [ ("addr", i addr); ("len", i len); ("state", i state) ]
+    | Shadow_unpoison { addr; len } -> [ ("addr", i addr); ("len", i len) ]
+    | Check_elide { insn; fn; reason; witness } ->
+      [ ("insn", i insn); ("fn", i fn); ("reason", s reason);
+        ("witness", i witness) ]
+    | Violation { kind; addr; pc; vmodule; origin } ->
+      [ ("kind", s kind); ("addr", i addr); ("pc", i pc); ("module", s vmodule);
+        ("origin", s (origin_name origin)) ]
+    | Cfi_table { name; entries } -> [ ("name", s name); ("entries", i entries) ]
+    | Store_hit { name; source } -> [ ("name", s name); ("source", s source) ]
+    | Store_corrupt { name; why } -> [ ("name", s name); ("why", s why) ]
+    | Phase_begin { phase } -> [ ("phase", s (phase_name phase)) ]
+    | Phase_end { phase; host_s; cycles } ->
+      [ ("phase", s (phase_name phase)); ("host_s", Json.Float host_s);
+        ("cycles", i cycles) ]
   in
-  let i v = string_of_int v in
-  let s v = "\"" ^ json_escape v ^ "\"" in
-  let b v = if v then "true" else "false" in
-  match ev with
-  | Block_translate { pc; insns; origin } ->
-    obj [ ("ev", s "block_translate"); ("pc", i pc); ("insns", i insns); ("origin", s (origin_name origin)) ]
-  | Block_exec { pc } -> obj [ ("ev", s "block_exec"); ("pc", i pc) ]
-  | Chain_link { from_pc; to_pc } ->
-    obj [ ("ev", s "chain_link"); ("from", i from_pc); ("to", i to_pc) ]
-  | Chain_sever { from_pc; to_pc } ->
-    obj [ ("ev", s "chain_sever"); ("from", i from_pc); ("to", i to_pc) ]
-  | Ibl_hit { site; target } -> obj [ ("ev", s "ibl_hit"); ("site", i site); ("target", i target) ]
-  | Ibl_miss { site; target } -> obj [ ("ev", s "ibl_miss"); ("site", i site); ("target", i target) ]
-  | Trace_build { head; blocks } ->
-    obj [ ("ev", s "trace_build"); ("head", i head); ("blocks", i blocks) ]
-  | Trace_teardown { head } -> obj [ ("ev", s "trace_teardown"); ("head", i head) ]
-  | Trace_elide { head; insn; reason; witness } ->
-    obj
-      [ ("ev", s "trace_elide"); ("head", i head); ("insn", i insn);
-        ("reason", s reason); ("witness", i witness) ]
-  | Flush_range { start; len } -> obj [ ("ev", s "flush_range"); ("start", i start); ("len", i len) ]
-  | Module_load { name; base } -> obj [ ("ev", s "module_load"); ("name", s name); ("base", i base) ]
-  | Module_unload { name } -> obj [ ("ev", s "module_unload"); ("name", s name) ]
-  | Dlopen { name; handle } -> obj [ ("ev", s "dlopen"); ("name", s name); ("handle", i handle) ]
-  | Dlclose { name; ok } -> obj [ ("ev", s "dlclose"); ("name", s name); ("ok", b ok) ]
-  | Plt_resolve { caller; target } ->
-    obj [ ("ev", s "plt_resolve"); ("caller", i caller); ("target", i target) ]
-  | Shadow_poison { addr; len; state } ->
-    obj [ ("ev", s "shadow_poison"); ("addr", i addr); ("len", i len); ("state", i state) ]
-  | Shadow_unpoison { addr; len } ->
-    obj [ ("ev", s "shadow_unpoison"); ("addr", i addr); ("len", i len) ]
-  | Check_elide { insn; fn; reason; witness } ->
-    obj
-      [ ("ev", s "check_elide"); ("insn", i insn); ("fn", i fn);
-        ("reason", s reason); ("witness", i witness) ]
-  | Violation { kind; addr; pc; vmodule; origin } ->
-    obj
-      [ ("ev", s "violation"); ("kind", s kind); ("addr", i addr); ("pc", i pc);
-        ("module", s vmodule); ("origin", s (origin_name origin)) ]
-  | Cfi_table { name; entries } ->
-    obj [ ("ev", s "cfi_table"); ("name", s name); ("entries", i entries) ]
-  | Store_hit { name; source } ->
-    obj [ ("ev", s "store_hit"); ("name", s name); ("source", s source) ]
-  | Store_miss { name } -> obj [ ("ev", s "store_miss"); ("name", s name) ]
-  | Store_evict { name } -> obj [ ("ev", s "store_evict"); ("name", s name) ]
-  | Store_corrupt { name; why } ->
-    obj [ ("ev", s "store_corrupt"); ("name", s name); ("why", s why) ]
-  | Phase_begin { phase } -> obj [ ("ev", s "phase_begin"); ("phase", s (phase_name phase)) ]
-  | Phase_end { phase; host_s; cycles } ->
-    obj
-      [ ("ev", s "phase_end"); ("phase", s (phase_name phase));
-        ("host_s", Printf.sprintf "%.6f" host_s); ("cycles", i cycles) ]
+  Json.to_line (Json.Obj (("ev", s (kind_name ev)) :: fields))
 
 (* A deliberately small parser for the flat one-line objects emitted
    above — enough for round-trip tests and offline tooling, not a general
    JSON reader. *)
-
-type jval = Jint of int | Jfloat of float | Jstr of string | Jbool of bool
 
 let parse_line line =
   let n = String.length line in
@@ -482,14 +409,14 @@ let parse_line line =
   let parse_value () =
     skip_ws ();
     if !pos >= n then fail "missing value"
-    else if line.[!pos] = '"' then Jstr (parse_string ())
+    else if line.[!pos] = '"' then Json.String (parse_string ())
     else if n - !pos >= 4 && String.sub line !pos 4 = "true" then begin
       pos := !pos + 4;
-      Jbool true
+      Json.Bool true
     end
     else if n - !pos >= 5 && String.sub line !pos 5 = "false" then begin
       pos := !pos + 5;
-      Jbool false
+      Json.Bool false
     end
     else begin
       let start = !pos in
@@ -502,10 +429,10 @@ let parse_line line =
       if !pos = start then fail "bad literal";
       let tok = String.sub line start (!pos - start) in
       match int_of_string_opt tok with
-      | Some v -> Jint v
+      | Some v -> Json.Int v
       | None -> (
         match float_of_string_opt tok with
-        | Some v -> Jfloat v
+        | Some v -> Json.Float v
         | None -> fail "bad number")
     end
   in
@@ -534,15 +461,16 @@ let event_of_json line =
   match parse_line line with
   | exception Failure _ -> None
   | fields ->
-    let str k = match List.assoc_opt k fields with Some (Jstr v) -> Some v | _ -> None in
-    let num k = match List.assoc_opt k fields with Some (Jint v) -> Some v | _ -> None in
+    let field k = List.assoc_opt k fields in
+    let str k = match field k with Some (Json.String v) -> Some v | _ -> None in
+    let num k = match field k with Some (Json.Int v) -> Some v | _ -> None in
     let flt k =
-      match List.assoc_opt k fields with
-      | Some (Jfloat v) -> Some v
-      | Some (Jint v) -> Some (float_of_int v)
+      match field k with
+      | Some (Json.Float v) -> Some v
+      | Some (Json.Int v) -> Some (float_of_int v)
       | _ -> None
     in
-    let boolean k = match List.assoc_opt k fields with Some (Jbool v) -> Some v | _ -> None in
+    let boolean k = match field k with Some (Json.Bool v) -> Some v | _ -> None in
     let origin k =
       match str k with Some "static" -> Some Static | Some "dynamic" -> Some Dynamic | _ -> None
     in

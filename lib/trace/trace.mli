@@ -5,8 +5,7 @@
     span-style phase timers ([Analyze]/[Rewrite]/[Load]/[Run]) with
     simulated-cycle attribution.  All state lives in [Domain.DLS]:
     enabling tracing affects only the calling domain, and concurrent
-    driver runs on a [Jt_pool] capture disjoint streams (a pool job
-    returns its capture via {!snapshot}; aggregate with {!merge}).
+    driver runs on a [Jt_pool] capture disjoint streams.
 
     The emit contract keeps the disabled path at a DLS load plus one
     branch, never constructing the event:
@@ -166,32 +165,10 @@ type phase_summary = {
 val phase_totals : unit -> phase_summary list
 (** One summary per phase, in [Analyze; Rewrite; Load; Run] order. *)
 
-(** {2 Snapshots}
-
-    A pool job runs on a worker domain, so its capture is invisible to
-    the submitting domain.  The job takes a {!snapshot} before
-    returning; the harness combines per-job snapshots with {!merge}. *)
-
-type snapshot = {
-  sn_events : event list;  (** buffered events, oldest first *)
-  sn_emitted : int;
-  sn_dropped : int;
-  sn_phases : phase_summary list;
-}
-
-val snapshot : unit -> snapshot
-(** Capture the calling domain's current events, counts and phase
-    totals. *)
-
-val merge : snapshot list -> snapshot
-(** Concatenate events in argument order, sum emit/drop counts and phase
-    totals pointwise.  Snapshots must come from {!snapshot} (canonical
-    phase order). *)
-
 (** {2 JSONL export / import} *)
 
 val event_to_json : event -> string
-(** One flat JSON object, no trailing newline. *)
+(** One flat JSON object in {!Json.to_line} form, no trailing newline. *)
 
 val event_of_json : string -> event option
 (** Parse a line produced by {!event_to_json}; [None] on malformed input

@@ -113,10 +113,18 @@ let test_jsonl_roundtrip () =
     all_constructors
 
 let test_jsonl_escaping () =
-  let ev = Module_load { name = "we\"ird\\na\nme"; base = 1 } in
-  match event_of_json (event_to_json ev) with
-  | Some ev' -> Alcotest.(check bool) "escaped name survives" true (ev = ev')
-  | None -> Alcotest.fail "escaped line did not parse"
+  let nasty = "q\"b\\s\nn\tt\x01c\x1f\x7f\xc3\xa9" in
+  List.iter
+    (fun ev ->
+      Alcotest.(check bool)
+        ("escaped names survive " ^ kind_name ev)
+        true
+        (event_of_json (event_to_json ev) = Some ev))
+    [
+      Module_load { name = "we\"ird\\na\nme"; base = 1 };
+      Module_load { name = nasty; base = 0x10000000 };
+      Store_corrupt { name = nasty; why = "bad \"magic\"\\\x00" };
+    ]
 
 let test_jsonl_malformed () =
   Alcotest.(check bool) "garbage" true (event_of_json "not json" = None);
@@ -124,6 +132,54 @@ let test_jsonl_malformed () =
     (event_of_json {|{"ev": "zorp", "pc": 1}|} = None);
   Alcotest.(check bool) "missing field" true
     (event_of_json {|{"ev": "block_exec"}|} = None)
+
+(* -- the JSON writer -- *)
+
+module Json = Jt_trace.Json
+
+let test_json_escape () =
+  Alcotest.(check string)
+    "quote, backslash, newline, tab, control byte, UTF-8"
+    ({|"a\"b\\c\nd\u0009e\u0001f|} ^ "\xc3\xa9\"")
+    (Json.to_line (Json.String "a\"b\\c\nd\te\x01f\xc3\xa9"))
+
+let test_json_non_finite () =
+  Alcotest.(check string) "nan and infinities print as null"
+    "[null, null, null, 0.250000, -3.000000]"
+    (Json.to_line
+       (Json.List
+          [
+            Float nan; Float infinity; Float neg_infinity; Float 0.25;
+            Float (-3.0);
+          ]))
+
+let test_json_layout () =
+  let v =
+    Json.Obj
+      [
+        ("a", Int 1);
+        ( "rows",
+          List [ Obj [ ("x", List [ Int 1; Int 2 ]); ("ok", Bool true) ]; Null ]
+        );
+        ("empty", List []);
+        ("nested", Obj [ ("s", String "v"); ("l", List [ Obj [] ]) ]);
+      ]
+  in
+  Alcotest.(check string) "document"
+    "{\n\
+    \  \"a\": 1,\n\
+    \  \"rows\": [\n\
+    \    {\"x\": [1, 2], \"ok\": true},\n\
+    \    null\n\
+    \  ],\n\
+    \  \"empty\": [],\n\
+    \  \"nested\": {\"s\": \"v\", \"l\": [{}]}\n\
+     }\n"
+    (Json.to_document v);
+  Alcotest.(check string) "line"
+    ({|{"a": 1, "rows": [{"x": [1, 2], "ok": true}, null], "empty": [], |}
+    ^ {|"nested": {"s": "v", "l": [{}]}}|})
+    (Json.to_line v)
 
 let test_export_matches_events () =
   enable ~capacity:16 ();
@@ -319,6 +375,12 @@ let () =
           Alcotest.test_case "malformed" `Quick (isolated test_jsonl_malformed);
           Alcotest.test_case "export" `Quick
             (isolated test_export_matches_events);
+        ] );
+      ( "json",
+        [
+          Alcotest.test_case "escape" `Quick test_json_escape;
+          Alcotest.test_case "non-finite floats" `Quick test_json_non_finite;
+          Alcotest.test_case "layout" `Quick test_json_layout;
         ] );
       ( "wiring",
         [
